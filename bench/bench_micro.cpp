@@ -3,6 +3,9 @@
 // evaluation, sequence matching, and legacy route computation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/layer_model.hpp"
 #include "crypto/signature.hpp"
 #include "net/graph.hpp"
@@ -12,7 +15,9 @@
 #include "scion/border_router.hpp"
 #include "scion/header.hpp"
 #include "scion/segment.hpp"
+#include "sim/timer.hpp"
 #include "support/alloc_probe.hpp"
+#include "support/loopback_pair.hpp"
 #include "util/stats.hpp"
 
 using namespace pan;
@@ -309,6 +314,57 @@ void BM_TimeSeriesTick(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TimeSeriesTick)->Arg(16)->Arg(128);
+
+// ------------------------------------------------------ engine / transport --
+
+/// Idle-timer re-arm: every iteration pushes one Timer's deadline 30 s out,
+/// cancelling the previous firing. `queued_events` (the heap size) and
+/// `event_slots` must stay 1 however many re-arms ran, and
+/// `allocs_per_rearm` 0: the `[this]` closure fits std::function's inline
+/// buffer and the cancelled event's slot is reused.
+void BM_TimerRearm(benchmark::State& state) {
+  sim::Simulator sim;
+  sim::Timer timer(sim, [] {});
+  timer.arm(seconds(30));
+  timer.arm(seconds(30));  // warm: slot table, heap and free list sized
+  const std::uint64_t allocs_before = testsupport::allocation_count();
+  for (auto _ : state) timer.arm(seconds(30));
+  const std::uint64_t allocs = testsupport::allocation_count() - allocs_before;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["queued_events"] =
+      benchmark::Counter(static_cast<double>(sim.pending_events()));
+  state.counters["event_slots"] = benchmark::Counter(static_cast<double>(sim.event_slots()));
+  state.counters["allocs_per_rearm"] =
+      benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_TimerRearm);
+
+/// One request/response stream per iteration on a single long-lived
+/// connection pair (50 µs in-memory conduit, 200-byte responses): the cost of
+/// a stream on an aged pooled connection. `live_streams` is the peak number
+/// of streams either side held after an exchange; retirement keeps it <= 2
+/// however many exchanges ran.
+void BM_StreamAged(benchmark::State& state) {
+  testsupport::LoopbackPair pair;
+  pair.server().set_on_stream([](transport::Stream& stream) {
+    stream.set_on_data([&stream](std::span<const std::uint8_t>, bool fin) {
+      if (!fin) return;
+      stream.write(Bytes(200, 0x5a));
+      stream.finish();
+    });
+  });
+  pair.establish();
+  const std::string request(120, 'G');
+  std::size_t peak_live = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pair.exchange(request));
+    peak_live =
+        std::max({peak_live, pair.client().live_streams(), pair.server().live_streams()});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["live_streams"] = benchmark::Counter(static_cast<double>(peak_live));
+}
+BENCHMARK(BM_StreamAged);
 
 void BM_LamportVerifyMemoized(benchmark::State& state) {
   Rng rng(1);

@@ -18,7 +18,10 @@
 #   scripts/check.sh --bench-smoke # plain build, then a short bench_micro run
 #                                 # of the forwarding benches; fails if the
 #                                 # zero-copy hop path allocates or is not
-#                                 # faster than the legacy reparse pipeline
+#                                 # faster than the legacy reparse pipeline,
+#                                 # if timer re-arms leave more than one
+#                                 # queued event, or if an aged connection
+#                                 # holds more than two live streams
 #   scripts/check.sh --fleet      # PAN_SANITIZE=ON build, then the proxy
 #                                 # fleet suite + bench_fleet_scale --smoke;
 #                                 # fails on any strict downgrade, deadline
@@ -112,7 +115,7 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   echo "==> bench-smoke: forwarding micro-benchmarks (zero-copy data plane)"
   run_suite build
   out="$(./build/bench/bench_micro \
-    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries' \
+    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries|TimerRearm|StreamAged' \
     --benchmark_min_time=0.1 \
     --benchmark_format=json)"
   echo "$out"
@@ -136,6 +139,17 @@ for hops in (3, 8):
 for name in ("BM_HistogramRecord", "BM_HistogramRecordExemplar"):
     assert runs[name]["allocs_per_record"] == 0, f"{name} allocates per record"
     print(f"{name}: {runs[name]['items_per_second']:.3g} records/s, 0 allocs")
+# Bounded long-lived state: work counts, independent of machine speed.
+rearm = runs["BM_TimerRearm"]
+assert rearm["queued_events"] == 1, \
+    f"{rearm['iterations']} timer re-arms left {rearm['queued_events']} queued events"
+assert rearm["event_slots"] == 1, f"timer re-arms grew the slot table to {rearm['event_slots']}"
+assert rearm["allocs_per_rearm"] == 0, "timer re-arm allocates"
+print(f"BM_TimerRearm: {rearm['iterations']} re-arms, 1 queued event in 1 slot, 0 allocs")
+aged = runs["BM_StreamAged"]
+assert aged["live_streams"] <= 2, \
+    f"{aged['iterations']} exchanges left {aged['live_streams']} live streams"
+print(f"BM_StreamAged: {aged['iterations']} exchanges, peak {aged['live_streams']:.0f} live streams")
 EOF
   echo "==> bench-smoke passed"
   exit 0

@@ -25,7 +25,11 @@ HttpClientStream::HttpClientStream(transport::Bytestream& stream, bool close_aft
   });
 }
 
-HttpClientStream::~HttpClientStream() { stream_.set_on_data(nullptr); }
+HttpClientStream::~HttpClientStream() {
+  // After the FIN the stream never calls back, and the connection may
+  // already have retired it: touch it only while the FIN is outstanding.
+  if (!stream_done_) stream_.set_on_data(nullptr);
+}
 
 void HttpClientStream::fetch(const HttpRequest& request, ResponseFn on_response) {
   if (stream_done_ || stream_.broken()) {

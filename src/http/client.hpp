@@ -20,8 +20,10 @@ class HttpClientStream {
   using ResponseFn = std::function<void(Result<HttpResponse>)>;
 
   HttpClientStream(transport::Bytestream& stream, bool close_after_request);
-  /// Detaches from the stream: the stream outlives this object (it is owned
-  /// by the transport connection), so the read callback must not dangle.
+  /// Detaches from the stream unless its FIN already arrived: until then the
+  /// stream outlives this object (it is owned by the transport connection),
+  /// so the read callback must not dangle; after the FIN the stream never
+  /// calls back and may already be retired.
   ~HttpClientStream();
 
   HttpClientStream(const HttpClientStream&) = delete;

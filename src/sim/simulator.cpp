@@ -18,11 +18,22 @@ Simulator::Simulator() {
   Logger::set_clock(&clock_hook, this);
 }
 
+Simulator::~Simulator() { Logger::clear_clock(this); }
+
 EventId Simulator::schedule_at(TimePoint when, std::function<void()> fn) {
   if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id, std::move(fn)});
-  return id;
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  heap_.emplace_back();
+  sift_up(static_cast<std::uint32_t>(heap_.size() - 1), Entry{when, next_seq_++, slot});
+  return (EventId{slots_[slot].generation} << 32) | slot;
 }
 
 EventId Simulator::schedule_after(Duration delay, std::function<void()> fn) {
@@ -31,28 +42,75 @@ EventId Simulator::schedule_after(Duration delay, std::function<void()> fn) {
 }
 
 bool Simulator::cancel(EventId id) {
-  if (id == kInvalidEventId || id >= next_id_) return false;
-  const bool inserted = cancelled_.insert(id).second;
-  if (inserted) ++cancelled_live_;
-  return inserted;
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  const Slot& target = slots_[slot];
+  if (target.generation != static_cast<std::uint32_t>(id >> 32) ||
+      target.heap_index == kNotQueued) {
+    return false;
+  }
+  // The closure dies at the end of this scope, after the queue is
+  // consistent again: its captures' destructors may schedule or cancel.
+  const std::function<void()> dropped = remove(target.heap_index);
+  return true;
+}
+
+std::function<void()> Simulator::remove(std::uint32_t index) {
+  const std::uint32_t slot = heap_[index].slot;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (index < heap_.size()) {
+    // Refill the hole with the former last entry.
+    if (index > 0 && earlier(last, heap_[(index - 1) / 2])) {
+      sift_up(index, last);
+    } else {
+      sift_down(index, last);
+    }
+  }
+  Slot& freed = slots_[slot];
+  std::function<void()> fn = std::move(freed.fn);
+  freed.fn = nullptr;
+  freed.heap_index = kNotQueued;
+  if (++freed.generation == 0) freed.generation = 1;
+  free_slots_.push_back(slot);
+  return fn;
+}
+
+void Simulator::place(std::uint32_t index, const Entry& entry) {
+  heap_[index] = entry;
+  slots_[entry.slot].heap_index = index;
+}
+
+void Simulator::sift_up(std::uint32_t index, Entry entry) {
+  while (index > 0) {
+    const std::uint32_t parent = (index - 1) / 2;
+    if (!earlier(entry, heap_[parent])) break;
+    place(index, heap_[parent]);
+    index = parent;
+  }
+  place(index, entry);
+}
+
+void Simulator::sift_down(std::uint32_t index, Entry entry) {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * std::size_t{index} + 1;
+    if (child >= size) break;
+    if (child + 1 < size && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], entry)) break;
+    place(index, heap_[child]);
+    index = static_cast<std::uint32_t>(child);
+  }
+  place(index, entry);
 }
 
 bool Simulator::step(TimePoint deadline) {
-  while (!queue_.empty()) {
-    if (queue_.top().when > deadline) return false;
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      --cancelled_live_;
-      continue;
-    }
-    now_ = ev.when;
-    ++executed_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty() || heap_.front().when > deadline) return false;
+  now_ = heap_.front().when;
+  const std::function<void()> fn = remove(0);
+  ++executed_;
+  fn();
+  return true;
 }
 
 std::size_t Simulator::run() {

@@ -5,25 +5,34 @@
 // with the sequence number breaking ties FIFO, which makes runs bit-for-bit
 // reproducible. Everything is single-threaded by design: handlers run to
 // completion and schedule follow-up events.
+//
+// Pending events live in a slot table; an indexed binary heap of slot
+// numbers orders them. An EventId names a slot plus the slot's generation,
+// which is bumped whenever the event fires or is cancelled, so a stale id
+// can never reach the slot's next occupant. cancel() removes the event from
+// the heap immediately: the queue and the slot table stay O(live events), no
+// matter how often timers are re-armed (DESIGN.md §5m).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/types.hpp"
 
 namespace pan::sim {
 
-/// Identifies a scheduled event so it can be cancelled.
+/// Identifies a scheduled event so it can be cancelled: the generation in
+/// the high 32 bits, the slot in the low 32. Generations start at 1, so no
+/// live id is ever kInvalidEventId.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 class Simulator {
  public:
   Simulator();
+  /// Unhooks the logger's clock if it still points at this simulator.
+  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -37,8 +46,11 @@ class Simulator {
   /// Schedules `fn` to run `delay` after now (negative delays clamp to 0).
   EventId schedule_after(Duration delay, std::function<void()> fn);
 
-  /// Cancels a pending event. Cancelling an already-fired or unknown id is a
-  /// harmless no-op. Returns true iff the event was pending.
+  /// Cancels a pending event, removing it (and its closure) from the queue
+  /// at once. Returns true iff the event was pending; cancelling an event
+  /// that already fired (including from inside its own handler), was
+  /// already cancelled, or was never issued returns false and changes
+  /// nothing.
   bool cancel(EventId id);
 
   /// Runs events until the queue drains. Returns the number of events run.
@@ -56,36 +68,49 @@ class Simulator {
   /// the queue drains or `deadline` passes. Returns true iff pred held.
   bool run_until_condition(const std::function<bool()>& pred, TimePoint deadline);
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size() - cancelled_live_; }
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  /// Size of the slot table: the peak number of simultaneously pending
+  /// events so far (slots are recycled, never released).
+  [[nodiscard]] std::size_t event_slots() const { return slots_.size(); }
 
  private:
-  struct Event {
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+
+  struct Slot {
+    std::function<void()> fn;
+    std::uint32_t generation = 1;
+    std::uint32_t heap_index = kNotQueued;
+  };
+  /// Heap entries carry the ordering key, so sifting never touches slots_
+  /// except to update the back-pointer.
+  struct Entry {
     TimePoint when;
     std::uint64_t seq;
-    EventId id;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  static bool earlier(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
 
   /// Pops and runs the next event; returns false if the queue is empty or the
   /// next event is beyond `deadline` (clock untouched in that case).
   bool step(TimePoint deadline);
 
+  /// Takes the entry at heap position `index` out of the heap and frees its
+  /// slot; returns the closure so the caller decides when it runs or dies.
+  std::function<void()> remove(std::uint32_t index);
+  void place(std::uint32_t index, const Entry& entry);
+  void sift_up(std::uint32_t index, Entry entry);
+  void sift_down(std::uint32_t index, Entry entry);
+
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Cancelled ids are tombstoned and skipped on pop; cancelled_live_ counts
-  // tombstones still in the queue so pending_events() stays accurate.
-  std::unordered_set<EventId> cancelled_;
-  std::size_t cancelled_live_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Entry> heap_;  // min-heap on (when, seq)
 };
 
 }  // namespace pan::sim

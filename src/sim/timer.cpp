@@ -1,27 +1,19 @@
 #include "sim/timer.hpp"
 
-#include <memory>
 #include <utility>
 
 namespace pan::sim {
 
 Timer::Timer(Simulator& sim, std::function<void()> on_fire)
-    : sim_(sim), on_fire_(std::move(on_fire)), alive_(std::make_shared<bool>(true)) {}
+    : sim_(sim), on_fire_(std::move(on_fire)) {}
 
-Timer::~Timer() {
-  *alive_ = false;
-  cancel();
-}
+Timer::~Timer() { cancel(); }
 
 void Timer::arm(Duration delay) {
   cancel();
   pending_ = true;
   deadline_ = sim_.now() + delay;
-  const std::shared_ptr<bool> alive = alive_;
-  event_ = sim_.schedule_after(delay, [this, alive] {
-    if (!*alive) return;
-    fire();
-  });
+  event_ = sim_.schedule_after(delay, [this] { fire(); });
 }
 
 void Timer::arm_if_idle(Duration delay) {
@@ -41,22 +33,15 @@ void Timer::fire() {
 }
 
 PeriodicTimer::PeriodicTimer(Simulator& sim, std::function<void()> on_fire)
-    : sim_(sim), on_fire_(std::move(on_fire)), alive_(std::make_shared<bool>(true)) {}
+    : sim_(sim), on_fire_(std::move(on_fire)) {}
 
-PeriodicTimer::~PeriodicTimer() {
-  *alive_ = false;
-  stop();
-}
+PeriodicTimer::~PeriodicTimer() { stop(); }
 
 void PeriodicTimer::start(Duration initial_delay, Duration period) {
   stop();
   running_ = true;
   period_ = period;
-  const std::shared_ptr<bool> alive = alive_;
-  event_ = sim_.schedule_after(initial_delay, [this, alive] {
-    if (!*alive) return;
-    fire();
-  });
+  event_ = sim_.schedule_after(initial_delay, [this] { fire(); });
 }
 
 void PeriodicTimer::stop() {
@@ -68,11 +53,7 @@ void PeriodicTimer::stop() {
 
 void PeriodicTimer::fire() {
   if (!running_) return;
-  const std::shared_ptr<bool> alive = alive_;
-  event_ = sim_.schedule_after(period_, [this, alive] {
-    if (!*alive) return;
-    fire();
-  });
+  event_ = sim_.schedule_after(period_, [this] { fire(); });
   on_fire_();
 }
 

@@ -3,11 +3,13 @@
 // Timer: a one-shot, re-armable timer (retransmission timeouts, idle
 // timeouts). PeriodicTimer: fires at a fixed period until stopped
 // (keep-alives, beacon origination). Both cancel themselves on destruction,
-// so owning objects can be destroyed without leaving dangling callbacks.
+// and Simulator::cancel removes the event eagerly, so owning objects can be
+// destroyed without leaving dangling callbacks. The scheduled closure is
+// just `[this]`, which std::function stores inline: re-arming allocates
+// nothing.
 #pragma once
 
 #include <functional>
-#include <memory>
 
 #include "sim/simulator.hpp"
 
@@ -37,9 +39,6 @@ class Timer {
   EventId event_ = kInvalidEventId;
   bool pending_ = false;
   TimePoint deadline_;
-  // Guards against the closure firing after *this is gone: the scheduled
-  // closure captures a shared liveness token.
-  std::shared_ptr<bool> alive_;
 };
 
 class PeriodicTimer {
@@ -63,7 +62,6 @@ class PeriodicTimer {
   Duration period_ = Duration::zero();
   bool running_ = false;
   EventId event_ = kInvalidEventId;
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace pan::sim

@@ -15,7 +15,8 @@ constexpr std::size_t kAckReserve = 2 + kMaxAckRanges * 16;
 
 // ---------------------------------------------------------------- Stream --
 
-Stream::Stream(Connection& conn, std::uint32_t id) : conn_(conn), id_(id) {}
+Stream::Stream(Connection& conn, std::uint32_t id, std::uint64_t seq)
+    : conn_(conn), id_(id), seq_(seq) {}
 
 void Stream::write(std::span<const std::uint8_t> data) {
   if (broken_ || fin_queued_) return;
@@ -23,7 +24,7 @@ void Stream::write(std::span<const std::uint8_t> data) {
   chunk.offset = next_send_offset_;
   chunk.data.assign(data.begin(), data.end());
   next_send_offset_ += data.size();
-  pending_.push_back(std::move(chunk));
+  queue(std::move(chunk), /*front=*/false);
   conn_.pump();
 }
 
@@ -33,9 +34,23 @@ void Stream::finish() {
   Chunk chunk;
   chunk.offset = next_send_offset_;
   chunk.fin = true;
-  pending_.push_back(std::move(chunk));
+  queue(std::move(chunk), /*front=*/false);
   conn_.pump();
   conn_.note_awaiting_response();
+}
+
+void Stream::queue(Chunk chunk, bool front) {
+  if (front) {
+    pending_.push_front(std::move(chunk));
+  } else {
+    pending_.push_back(std::move(chunk));
+  }
+  if (in_send_ring_) return;
+  in_send_ring_ = true;
+  auto& ring = conn_.send_ring_;
+  ring.insert(std::upper_bound(ring.begin(), ring.end(), seq_,
+                               [](std::uint64_t seq, const Stream* s) { return seq < s->seq_; }),
+              this);
 }
 
 void Stream::set_on_data(DataFn on_data) {
@@ -57,7 +72,7 @@ void Stream::on_stream_frame(const StreamFrame& frame) {
 }
 
 void Stream::flush_reassembly() {
-  if (!on_data_ || broken_) return;
+  if (!on_data_ || broken_ || fin_delivered_) return;
   for (;;) {
     const auto it = reassembly_.begin();
     bool delivered = false;
@@ -70,7 +85,10 @@ void Stream::flush_reassembly() {
         const std::span<const std::uint8_t> fresh(data.data() + skip, data.size() - skip);
         next_recv_offset_ += fresh.size();
         const bool fin_now = next_recv_offset_ == fin_offset_;
-        if (fin_now) fin_delivered_ = true;
+        if (fin_now) {
+          fin_delivered_ = true;
+          conn_.retire_candidates_.push_back(id_);
+        }
         on_data_(fresh, fin_now);
         delivered = true;
       } else {
@@ -83,6 +101,7 @@ void Stream::flush_reassembly() {
   // Pure FIN (no trailing data).
   if (!fin_delivered_ && next_recv_offset_ == fin_offset_) {
     fin_delivered_ = true;
+    conn_.retire_candidates_.push_back(id_);
     on_data_({}, true);
   }
 }
@@ -106,6 +125,7 @@ Connection::Connection(sim::Simulator& sim, Conduit conduit, Role role, std::uin
       conn_id_(conn_id),
       config_(std::move(config)),
       next_local_stream_(role == Role::kClient ? 0 : 1),
+      peer_next_(role == Role::kClient ? 1 : 0),
       srtt_(config_.initial_rtt),
       rttvar_(config_.initial_rtt / 2),
       cwnd_(config_.initial_cwnd_packets * 1200),
@@ -173,11 +193,43 @@ Stream& Connection::open_stream() {
   }
   const std::uint32_t id = next_local_stream_;
   next_local_stream_ += 2;
-  auto stream = std::make_unique<Stream>(*this, id);
+  return add_stream(id);
+}
+
+Stream& Connection::add_stream(std::uint32_t id) {
+  auto stream = std::make_unique<Stream>(*this, id, streams_created_++);
   Stream& ref = *stream;
   streams_[id] = std::move(stream);
-  send_order_.push_back(id);
   return ref;
+}
+
+bool Connection::admit_peer_stream(std::uint32_t id) {
+  if ((id & 1u) == (next_local_stream_ & 1u)) return false;  // our parity
+  if (id >= peer_next_) {
+    if (id > peer_next_) peer_gaps_.emplace(static_cast<std::uint32_t>(peer_next_), id - 2);
+    peer_next_ = std::uint64_t{id} + 2;
+    return true;
+  }
+  auto gap = peer_gaps_.upper_bound(id);
+  if (gap == peer_gaps_.begin()) return false;
+  --gap;
+  const auto [first, last] = *gap;
+  if (id > last) return false;  // seen before: the stream already retired
+  peer_gaps_.erase(gap);
+  if (first < id) peer_gaps_.emplace(first, id - 2);
+  if (id < last) peer_gaps_.emplace(id + 2, last);
+  return true;
+}
+
+void Connection::retire_finished_streams() {
+  // Indexed: destroying a stream's callbacks may queue further candidates.
+  for (std::size_t i = 0; i < retire_candidates_.size(); ++i) {
+    const auto it = streams_.find(retire_candidates_[i]);
+    if (it == streams_.end() || !it->second->retirable()) continue;
+    const std::unique_ptr<Stream> retired = std::move(it->second);
+    streams_.erase(it);
+  }
+  retire_candidates_.clear();
 }
 
 Stream* Connection::stream(std::uint32_t id) {
@@ -253,6 +305,7 @@ void Connection::on_datagram(std::span<const std::uint8_t> data) {
   }
   record_received(packet.packet_number, ack_eliciting);
   pump();
+  retire_finished_streams();
 }
 
 void Connection::process_frame(const Frame& frame, bool* ack_eliciting) {
@@ -274,11 +327,10 @@ void Connection::process_frame(const Frame& frame, bool* ack_eliciting) {
     *ack_eliciting = true;
     Stream* target = stream(stream_frame->stream_id);
     if (target == nullptr) {
-      // Peer-initiated stream.
-      auto created = std::make_unique<Stream>(*this, stream_frame->stream_id);
-      target = created.get();
-      streams_[stream_frame->stream_id] = std::move(created);
-      send_order_.push_back(stream_frame->stream_id);
+      // A peer-initiated stream opens on its first frame. A late duplicate
+      // for a stream that already retired is dropped, never re-created.
+      if (!admit_peer_stream(stream_frame->stream_id)) return;
+      target = &add_stream(stream_frame->stream_id);
       if (on_stream_) on_stream_(*target);
     }
     target->on_stream_frame(*stream_frame);
@@ -314,8 +366,11 @@ void Connection::process_ack(const AckFrame& ack) {
       } else {
         cwnd_ += std::max<std::size_t>(1, mss() * it->second.size / cwnd_);
       }
-      if (it->second.hello && role_ == Role::kClient) {
-        // Handshake progress is driven by HELLO_REPLY frames, nothing to do.
+      for (const SentChunkRef& ref : it->second.chunks) {
+        const Stream* target = release_chunk(ref);
+        if (target != nullptr && target->chunks_in_flight_ == 0) {
+          retire_candidates_.push_back(ref.stream_id);
+        }
       }
       it = in_flight_.erase(it);
     } else if (pn + config_.reorder_threshold <= ack.largest()) {
@@ -372,14 +427,17 @@ void Connection::declare_lost(std::uint64_t pn, SentPacket&& packet) {
   }
   // Re-queue the chunks at the front of their streams.
   for (SentChunkRef& ref : packet.chunks) {
-    Stream* target = stream(ref.stream_id);
+    Stream* target = release_chunk(ref);
     if (target == nullptr || target->broken_) continue;
-    Stream::Chunk chunk;
-    chunk.offset = ref.offset;
-    chunk.data = std::move(ref.data);
-    chunk.fin = ref.fin;
-    target->pending_.push_front(std::move(chunk));
+    target->queue(Stream::Chunk{ref.offset, std::move(ref.data), ref.fin}, /*front=*/true);
   }
+}
+
+Stream* Connection::release_chunk(const SentChunkRef& ref) {
+  // A stream with a chunk in flight cannot have retired.
+  Stream* target = stream(ref.stream_id);
+  if (target != nullptr) --target->chunks_in_flight_;
+  return target;
 }
 
 void Connection::retransmit_all_outstanding() {
@@ -403,13 +461,10 @@ void Connection::retransmit_all_outstanding() {
       continue;
     }
     for (auto ref = packet.chunks.rbegin(); ref != packet.chunks.rend(); ++ref) {
-      Stream* target = stream(ref->stream_id);
+      Stream* target = release_chunk(*ref);
       if (target == nullptr || target->broken_) continue;
-      Stream::Chunk chunk;
-      chunk.offset = ref->offset;
-      chunk.data = std::move(ref->data);
-      chunk.fin = ref->fin;
-      target->pending_.push_front(std::move(chunk));
+      target->queue(Stream::Chunk{ref->offset, std::move(ref->data), ref->fin},
+                    /*front=*/true);
     }
   }
   if (resend_hello && state_ == State::kConnecting) send_hello(hello_round);
@@ -559,6 +614,17 @@ void Connection::send_packet(TransportPacket packet, SentPacket record) {
   if (conduit_.send) conduit_.send(std::move(wire));
 }
 
+Stream& Connection::next_in_send_ring() {
+  // Round-robin in creation order: the first queued stream at or after the
+  // cursor, wrapping to the oldest.
+  const std::uint64_t from = rr_cursor_ == streams_created_ ? 0 : rr_cursor_;
+  auto it = std::lower_bound(send_ring_.begin(), send_ring_.end(), from,
+                             [](const Stream* s, std::uint64_t seq) { return s->seq_ < seq; });
+  if (it == send_ring_.end()) it = send_ring_.begin();
+  rr_cursor_ = (*it)->seq_ + 1;
+  return **it;
+}
+
 void Connection::pump() {
   if (state_ != State::kEstablished) return;
 
@@ -567,6 +633,12 @@ void Connection::pump() {
     std::size_t budget = mss();
     if (budget < packet_header_size() + kAckReserve + stream_frame_overhead() + 1) break;
     budget -= packet_header_size() + kAckReserve;
+    if (send_ring_.empty()) {
+      // Nothing queued. A cursor that never picked a stream moves past the
+      // newest one, so a stream opened next goes first.
+      if (rr_cursor_ == 0) rr_cursor_ = streams_created_;
+      break;
+    }
 
     TransportPacket packet;
     packet.kind = config_.kind;
@@ -574,40 +646,36 @@ void Connection::pump() {
     packet.conn_id = conn_id_;
     SentPacket record;
 
-    bool any = false;
-    std::size_t visited = 0;
-    while (budget > stream_frame_overhead() && visited < send_order_.size()) {
-      if (send_order_.empty()) break;
-      rr_cursor_ %= send_order_.size();
-      Stream* target = stream(send_order_[rr_cursor_]);
-      ++rr_cursor_;
-      ++visited;
-      if (target == nullptr || target->pending_.empty()) continue;
-
-      Stream::Chunk& chunk = target->pending_.front();
+    while (budget > stream_frame_overhead() && !send_ring_.empty()) {
+      Stream& target = next_in_send_ring();
+      Stream::Chunk& chunk = target.pending_.front();
       const std::size_t room = budget - stream_frame_overhead();
       StreamFrame frame;
-      frame.stream_id = target->id_;
+      frame.stream_id = target.id_;
       frame.offset = chunk.offset;
       if (chunk.data.size() <= room) {
         frame.data = std::move(chunk.data);
         frame.fin = chunk.fin;
-        target->pending_.pop_front();
+        target.pending_.pop_front();
       } else {
         frame.data.assign(chunk.data.begin(),
                           chunk.data.begin() + static_cast<std::ptrdiff_t>(room));
         chunk.data.erase(chunk.data.begin(), chunk.data.begin() + static_cast<std::ptrdiff_t>(room));
         chunk.offset += room;
       }
+      if (target.pending_.empty()) {
+        target.in_send_ring_ = false;
+        send_ring_.erase(std::lower_bound(
+            send_ring_.begin(), send_ring_.end(), target.seq_,
+            [](const Stream* s, std::uint64_t seq) { return s->seq_ < seq; }));
+      }
+      ++target.chunks_in_flight_;
       budget -= stream_frame_overhead() + frame.data.size();
       record.chunks.push_back(
           SentChunkRef{frame.stream_id, frame.offset, frame.data, frame.fin});
       packet.frames.emplace_back(std::move(frame));
-      any = true;
-      visited = 0;  // a successful pull restarts the round-robin scan
     }
 
-    if (!any) break;
     if (ack_pending_) {
       packet.frames.emplace_back(build_ack());
       ack_pending_ = false;

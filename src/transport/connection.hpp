@@ -72,9 +72,15 @@ struct TransportConfig {
 
 class Connection;
 
+/// One bidirectional stream. Its state is O(live): the connection erases
+/// ("retires") a stream once both directions reached their RFC 9000 §3
+/// terminal states — the peer's FIN was delivered to on_data, our FIN was
+/// acknowledged, and nothing is queued or in flight. The upper layer must
+/// not touch a stream after it called finish() and saw the peer's FIN; the
+/// stream never calls on_data again after delivering that FIN.
 class Stream final : public Bytestream {
  public:
-  Stream(Connection& conn, std::uint32_t id);
+  Stream(Connection& conn, std::uint32_t id, std::uint64_t seq);
 
   [[nodiscard]] std::uint32_t id() const { return id_; }
 
@@ -99,14 +105,23 @@ class Stream final : public Bytestream {
   void on_stream_frame(const StreamFrame& frame);
   void flush_reassembly();
   void mark_broken();
+  /// Queues a chunk for (re)transmission and joins the send ring.
+  void queue(Chunk chunk, bool front);
+  [[nodiscard]] bool retirable() const {
+    return fin_delivered_ && fin_queued_ && pending_.empty() && chunks_in_flight_ == 0 &&
+           !broken_;
+  }
 
   Connection& conn_;
   std::uint32_t id_;
+  std::uint64_t seq_;  // creation order on the connection; the round-robin key
 
   // Send side.
   std::deque<Chunk> pending_;  // not yet (re)transmitted
   std::uint64_t next_send_offset_ = 0;
   bool fin_queued_ = false;
+  bool in_send_ring_ = false;         // in Connection::send_ring_ (pending_ non-empty)
+  std::size_t chunks_in_flight_ = 0;  // chunks held by Connection::in_flight_
 
   // Receive side.
   std::map<std::uint64_t, Bytes> reassembly_;
@@ -167,7 +182,10 @@ class Connection {
   /// Opens a locally initiated bidirectional stream. TCP-lite connections
   /// allow exactly one. Streams are owned by the connection.
   Stream& open_stream();
+  /// The live stream with this id; nullptr once it retired (or never was).
   [[nodiscard]] Stream* stream(std::uint32_t id);
+  /// Streams currently held: opened and not yet retired.
+  [[nodiscard]] std::size_t live_streams() const { return streams_.size(); }
 
   void set_on_established(std::function<void()> fn) { on_established_ = std::move(fn); }
   /// Fires when the peer opens a stream.
@@ -212,6 +230,14 @@ class Connection {
   };
 
   void pump();
+  [[nodiscard]] Stream& next_in_send_ring();
+  Stream& add_stream(std::uint32_t id);
+  /// Whether an unknown peer-parity id names a stream the peer has not
+  /// opened yet (as opposed to one that already retired here).
+  bool admit_peer_stream(std::uint32_t id);
+  /// Drops the in-flight hold of a sent chunk; returns its stream, if live.
+  Stream* release_chunk(const SentChunkRef& ref);
+  void retire_finished_streams();
   void send_hello(std::uint8_t round);
   void establish();
   void note_awaiting_response();
@@ -240,11 +266,21 @@ class Connection {
   TransportConfig config_;
   State state_ = State::kIdle;
 
-  // Streams.
+  // Streams. Only live ones are held; the send ring holds the subset with
+  // queued data, ascending by creation sequence. rr_cursor_ is the sequence
+  // the next round-robin pick starts from (== streams_created_ wraps to 0).
   std::unordered_map<std::uint32_t, std::unique_ptr<Stream>> streams_;
-  std::vector<std::uint32_t> send_order_;  // round-robin cursor source
-  std::size_t rr_cursor_ = 0;
+  std::vector<Stream*> send_ring_;
+  std::uint64_t rr_cursor_ = 0;
+  std::uint64_t streams_created_ = 0;
   std::uint32_t next_local_stream_;
+  // Peer-initiated ids: every id >= peer_next_ is unopened, and below it
+  // only the ids in peer_gaps_ ([first, last] runs of peer parity) are.
+  std::uint64_t peer_next_;
+  std::map<std::uint32_t, std::uint32_t> peer_gaps_;
+  // Streams whose peer FIN was just delivered or whose last in-flight chunk
+  // was just acked; on_datagram retires those that are done when it ends.
+  std::vector<std::uint32_t> retire_candidates_;
 
   // Packet number spaces (single space for simplicity).
   std::uint64_t next_pn_ = 1;

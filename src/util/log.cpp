@@ -31,6 +31,12 @@ void Logger::set_clock(ClockFn fn, const void* ctx) {
   g_clock_ctx = ctx;
 }
 
+void Logger::clear_clock(const void* ctx) {
+  if (g_clock_ctx != ctx) return;
+  g_clock_fn = nullptr;
+  g_clock_ctx = nullptr;
+}
+
 bool Logger::enabled(LogLevel level) {
   return static_cast<int>(level) >= static_cast<int>(g_level);
 }

@@ -24,6 +24,9 @@ class Logger {
   /// The simulated-clock hook: when set, records are stamped with sim time.
   using ClockFn = TimePoint (*)(const void* ctx);
   static void set_clock(ClockFn fn, const void* ctx);
+  /// Removes the clock hook if `ctx` is the registered context (a clock
+  /// owner calls this on destruction so the hook never dangles).
+  static void clear_clock(const void* ctx);
 
   static bool enabled(LogLevel level);
   static void write(LogLevel level, std::string_view component, std::string_view message);

@@ -1,8 +1,16 @@
 // Unit tests for the discrete-event simulator and timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <string>
+
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace pan::sim {
 namespace {
@@ -123,6 +131,146 @@ TEST(SimulatorTest, PendingEventsAccountsForCancellations) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+TEST(SimulatorTest, CancelAfterFireReturnsFalse) {
+  Simulator sim;
+  const EventId id = sim.schedule_after(milliseconds(1), [] {});
+  sim.run();
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, CancelInsideOwnHandlerReturnsFalse) {
+  // Browser::settle cancels a page's timeout event from inside that event.
+  Simulator sim;
+  EventId id = kInvalidEventId;
+  bool cancelled = true;
+  id = sim.schedule_after(milliseconds(1), [&] { cancelled = sim.cancel(id); });
+  sim.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, FireThenCancelRoundsLeaveNothingPending) {
+  Simulator sim;
+  constexpr int kRounds = 100'000;
+  for (int i = 0; i < kRounds; ++i) {
+    const EventId id = sim.schedule_after(microseconds(1), [] {});
+    sim.run();
+    sim.cancel(id);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_executed(), static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(sim.event_slots(), 1u);
+}
+
+TEST(SimulatorTest, SlotTableBoundedByPeakLiveEvents) {
+  Simulator sim;
+  constexpr std::size_t kLive = 8;
+  std::vector<EventId> ids;
+  for (int round = 0; round < 1000; ++round) {
+    // Idle-timer style: arm far in the future, cancel long before firing.
+    for (std::size_t i = 0; i < kLive; ++i) {
+      ids.push_back(sim.schedule_after(seconds(30), [] {}));
+    }
+    EXPECT_EQ(sim.pending_events(), kLive);
+    for (const EventId id : ids) EXPECT_TRUE(sim.cancel(id));
+    ids.clear();
+    sim.run_for(milliseconds(1));
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.event_slots(), kLive);
+  EXPECT_EQ(sim.events_executed(), 0u);
+}
+
+TEST(SimulatorTest, StaleIdCannotCancelReusedSlot) {
+  Simulator sim;
+  const EventId stale = sim.schedule_after(milliseconds(1), [] {});
+  sim.run();
+  bool fired = false;
+  const EventId fresh = sim.schedule_after(milliseconds(1), [&] { fired = true; });
+  EXPECT_EQ(sim.event_slots(), 1u);  // the fired event's slot was reused
+  EXPECT_NE(fresh, stale);
+  EXPECT_FALSE(sim.cancel(stale));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(SimulatorTest, CancelRemovesEventsInAnyHeapPosition) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 64; ++i) {
+    // Scrambled deadlines so cancelled entries sit at every heap depth.
+    const int at = (i * 37) % 64;
+    ids.push_back(sim.schedule_after(microseconds(at), [&order, at] { order.push_back(at); }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) EXPECT_TRUE(sim.cancel(ids[i]));
+  sim.run();
+  std::vector<int> expected;
+  for (int i = 0; i < 64; ++i) {
+    if (i % 3 != 0) expected.push_back((i * 37) % 64);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SimulatorTest, RandomScheduleCancelMatchesOrderedModel) {
+  // Differential check of the indexed heap: random schedules (ties
+  // included), cancels of live, fired and stale ids, and partial runs must
+  // fire exactly what an ordered (when, seq) model predicts, in its order.
+  Simulator sim;
+  Rng rng(42);
+  std::map<std::pair<std::int64_t, int>, int> model;  // (when, seq) -> tag
+  std::map<int, std::pair<EventId, std::pair<std::int64_t, int>>> issued;
+  std::vector<int> fired;
+  std::vector<int> expected;
+  std::size_t peak_live = 0;
+  int seq = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      const std::uint64_t op = rng.next_below(10);
+      if (op < 6) {
+        const auto at = sim.now() + microseconds(static_cast<std::int64_t>(rng.next_below(50)));
+        const int tag = seq++;
+        const EventId id = sim.schedule_at(at, [&fired, tag] { fired.push_back(tag); });
+        model[{at.nanos(), tag}] = tag;
+        issued[tag] = {id, {at.nanos(), tag}};
+        peak_live = std::max(peak_live, model.size());
+      } else if (!issued.empty()) {
+        auto it = issued.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(issued.size())));
+        const bool live = model.erase(it->second.second) > 0;
+        EXPECT_EQ(sim.cancel(it->second.first), live);
+        if (!live || rng.next_below(2) == 0) issued.erase(it);  // keep some stale ids
+      }
+    }
+    EXPECT_EQ(sim.pending_events(), model.size());
+    const TimePoint until = sim.now() + microseconds(static_cast<std::int64_t>(rng.next_below(30)));
+    while (!model.empty() && model.begin()->first.first <= until.nanos()) {
+      expected.push_back(model.begin()->second);
+      model.erase(model.begin());
+    }
+    sim.run_until(until);
+    ASSERT_EQ(fired, expected) << "round " << round;
+  }
+  EXPECT_EQ(sim.event_slots(), peak_live);
+}
+
+TEST(SimulatorTest, LoggerClockUnhookedWhenSimulatorDies) {
+  auto sim = std::make_unique<Simulator>();
+  sim->run_for(milliseconds(5));
+  sim.reset();
+  const LogLevel saved = Logger::level();
+  Logger::set_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  PAN_WARN("sim_test") << "after the simulator";
+  const std::string out = testing::internal::GetCapturedStderr();
+  Logger::set_level(saved);
+  EXPECT_NE(out.find("after the simulator"), std::string::npos);
+  EXPECT_EQ(out.find("ms]"), std::string::npos) << "stamped with a dead clock: " << out;
+}
+
 TEST(SimulatorTest, ExecutedCounter) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.schedule_after(milliseconds(i), [] {});
@@ -182,6 +330,17 @@ TEST(TimerTest, DestructionCancelsSafely) {
   }
   sim.run();  // must not crash or fire
   EXPECT_EQ(fired, 0);
+}
+
+TEST(TimerTest, RearmsLeaveOneQueuedEvent) {
+  Simulator sim;
+  int fired = 0;
+  Timer timer(sim, [&] { ++fired; });
+  for (int i = 0; i < 100'000; ++i) timer.arm(seconds(30));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.event_slots(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(TimerTest, RearmFromCallback) {

@@ -2,9 +2,12 @@
 // multiplexing, loss recovery, congestion behaviour, timeouts.
 #include <gtest/gtest.h>
 
+#include "http/client.hpp"
 #include "http/file_server.hpp"  // generate_blob for payload integrity
+#include "http/server.hpp"
 #include "net/host.hpp"
 #include "net/router.hpp"
+#include "support/loopback_pair.hpp"
 #include "transport/udp_host.hpp"
 
 namespace pan::transport {
@@ -515,6 +518,141 @@ TEST(ConnectionTest, StatsCountersAdvance) {
   EXPECT_GT(client.connection().stats().packets_sent, 0u);
   EXPECT_GT(client.connection().stats().packets_received, 0u);
   EXPECT_GT(client.connection().stats().bytes_sent, 0u);
+}
+
+// ------------------------------------------------------ stream lifecycle --
+
+using testsupport::LoopbackPair;
+
+/// Answers every request stream with "pong" + FIN once the request FIN lands.
+void serve_pong(Connection& conn) {
+  conn.set_on_stream([](Stream& stream) {
+    stream.set_on_data([s = &stream](std::span<const std::uint8_t>, bool fin) {
+      if (!fin) return;
+      s->write(from_string("pong"));
+      s->finish();
+    });
+  });
+}
+
+std::vector<std::uint32_t> stream_ids(const std::vector<TransportPacket>& packets) {
+  std::vector<std::uint32_t> ids;
+  for (const TransportPacket& packet : packets) {
+    for (const Frame& frame : packet.frames) {
+      if (const auto* stream = std::get_if<StreamFrame>(&frame)) ids.push_back(stream->stream_id);
+    }
+  }
+  return ids;
+}
+
+TEST(StreamLifecycleTest, LiveStreamsStayBoundedOnPooledConnection) {
+  LoopbackPair pair;
+  serve_pong(pair.server());
+  pair.establish();
+  std::size_t peak = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(pair.exchange("ping"), "pong") << "exchange " << i;
+    peak = std::max({peak, pair.client().live_streams(), pair.server().live_streams()});
+  }
+  EXPECT_LE(peak, 2u);
+  pair.sim.run_for(milliseconds(100));  // the last delayed ACK lands
+  EXPECT_EQ(pair.client().live_streams(), 0u);
+  EXPECT_EQ(pair.server().live_streams(), 0u);
+}
+
+TEST(StreamLifecycleTest, LateDuplicateFrameForRetiredStreamIsDropped) {
+  LoopbackPair pair;
+  int opened = 0;
+  http::HttpServer http([](const http::HttpRequest&, http::HttpServer::Respond respond) {
+    respond(http::make_text_response(200, "ok"));
+  });
+  pair.server().set_on_stream([&](Stream& stream) {
+    ++opened;
+    http.serve(stream);
+  });
+  pair.establish();
+  http::HttpRequest request;
+  request.headers.set("Host", "origin.test");
+  const Bytes wire = request.serialize();
+  {
+    Stream& stream = pair.client().open_stream();
+    http::HttpClientStream exchange(stream, /*close_after_request=*/true);
+    int status = 0;
+    exchange.fetch(request, [&](Result<http::HttpResponse> r) {
+      status = r.ok() ? r.value().status : -1;
+    });
+    pair.sim.run_until_condition([&] { return status != 0; }, pair.sim.now() + seconds(1));
+    ASSERT_EQ(status, 200);
+  }
+  pair.sim.run_for(milliseconds(100));
+  ASSERT_EQ(pair.server().live_streams(), 0u);
+
+  // Replay the whole request, FIN included, then a bare FIN past its end.
+  pair.record = true;
+  pair.inject(pair.server(), {StreamFrame{0, 0, true, wire}});
+  pair.inject(pair.server(), {StreamFrame{0, wire.size(), true, {}}});
+  pair.sim.run_for(milliseconds(100));
+  EXPECT_EQ(opened, 1);
+  EXPECT_EQ(http.requests_handled(), 1u);
+  EXPECT_EQ(pair.server().live_streams(), 0u);
+  EXPECT_TRUE(stream_ids(pair.server_sent).empty()) << "the server answered a phantom request";
+}
+
+TEST(StreamLifecycleTest, PeerStreamsOpenOutOfOrder) {
+  LoopbackPair pair;
+  pair.establish();
+  std::vector<std::uint32_t> opened;
+  pair.client().set_on_stream([&](Stream& stream) { opened.push_back(stream.id()); });
+  pair.inject(pair.client(), {StreamFrame{5, 0, false, from_string("five")}});
+  pair.inject(pair.client(), {StreamFrame{3, 0, false, from_string("three")}});
+  pair.inject(pair.client(), {StreamFrame{5, 4, false, from_string("!")}});
+  pair.inject(pair.client(), {StreamFrame{1, 0, false, from_string("one")}});
+  // Our own parity is never peer-opened.
+  pair.inject(pair.client(), {StreamFrame{2, 0, false, from_string("bogus")}});
+  EXPECT_EQ(opened, (std::vector<std::uint32_t>{5, 3, 1}));
+  EXPECT_EQ(pair.client().live_streams(), 3u);
+}
+
+TEST(StreamLifecycleTest, GoBackNAfterRetirementResendsOnlyLiveStreams) {
+  LoopbackPair pair;
+  serve_pong(pair.server());
+  pair.establish();
+  ASSERT_EQ(pair.exchange("first"), "pong");
+  pair.sim.run_for(milliseconds(100));
+  ASSERT_EQ(pair.client().live_streams(), 0u);
+
+  // Black-hole the uplink: the next request is only ever retransmitted.
+  pair.drop_to_server = true;
+  pair.record = true;
+  Stream& stream = pair.client().open_stream();
+  stream.write(from_string("second"));
+  stream.finish();
+  pair.sim.run_for(seconds(2));
+  EXPECT_GT(pair.client().stats().pto_fired, 0u);
+  const std::vector<std::uint32_t> sent = stream_ids(pair.client_sent);
+  EXPECT_GT(sent.size(), 2u);  // the original send plus go-back-n re-sends
+  for (const std::uint32_t id : sent) EXPECT_EQ(id, stream.id());
+}
+
+TEST(StreamLifecycleTest, ClientStreamDestroyedAfterRetirementIsSafe) {
+  LoopbackPair pair;
+  http::HttpServer http([](const http::HttpRequest&, http::HttpServer::Respond respond) {
+    respond(http::make_text_response(200, "ok"));
+  });
+  pair.server().set_on_stream([&](Stream& stream) { http.serve(stream); });
+  pair.establish();
+  auto exchange =
+      std::make_unique<http::HttpClientStream>(pair.client().open_stream(), true);
+  bool answered = false;
+  exchange->fetch(http::HttpRequest{}, [&](Result<http::HttpResponse> r) {
+    answered = r.ok();
+  });
+  pair.sim.run_until_condition([&] { return answered && pair.client().live_streams() == 0; },
+                               pair.sim.now() + seconds(1));
+  ASSERT_TRUE(answered);
+  ASSERT_EQ(pair.client().live_streams(), 0u);
+  EXPECT_TRUE(exchange->broken());  // answers from its own state
+  exchange.reset();                 // must not touch the retired stream
 }
 
 }  // namespace
