@@ -339,6 +339,32 @@ void BM_TimerRearm(benchmark::State& state) {
 }
 BENCHMARK(BM_TimerRearm);
 
+/// Owner-scope teardown: every iteration schedules N events through a fresh
+/// sim::Scope, then destroys it. `queued_events` must be 0 afterwards (the
+/// scope cancelled exactly what it scheduled) and `allocs_per_schedule` 0:
+/// the scope's bookkeeping is threaded through the simulator's slot table.
+void BM_ScopeTeardown(benchmark::State& state) {
+  sim::Simulator sim;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto fill = [&sim, n] {
+    sim::Scope scope(sim);
+    for (std::size_t i = 0; i < n; ++i) {
+      scope.schedule_after(microseconds(static_cast<std::int64_t>((i * 7919) % 1000)), [] {});
+    }
+  };
+  fill();  // warm: slot table, heap and free list sized
+  const std::uint64_t allocs_before = testsupport::allocation_count();
+  for (auto _ : state) fill();
+  const std::uint64_t allocs = testsupport::allocation_count() - allocs_before;
+  const auto scheduled = static_cast<double>(state.iterations()) * static_cast<double>(n);
+  state.SetItemsProcessed(static_cast<std::int64_t>(scheduled));
+  state.counters["queued_events"] =
+      benchmark::Counter(static_cast<double>(sim.pending_events()));
+  state.counters["allocs_per_schedule"] =
+      benchmark::Counter(static_cast<double>(allocs) / scheduled);
+}
+BENCHMARK(BM_ScopeTeardown)->Arg(64);
+
 /// One request/response stream per iteration on a single long-lived
 /// connection pair (50 µs in-memory conduit, 200-byte responses): the cost of
 /// a stream on an aged pooled connection. `live_streams` is the peak number

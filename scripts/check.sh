@@ -20,8 +20,10 @@
 #                                 # zero-copy hop path allocates or is not
 #                                 # faster than the legacy reparse pipeline,
 #                                 # if timer re-arms leave more than one
-#                                 # queued event, or if an aged connection
-#                                 # holds more than two live streams
+#                                 # queued event, if a torn-down scope leaves
+#                                 # any or allocates per schedule, or if an
+#                                 # aged connection holds more than two live
+#                                 # streams
 #   scripts/check.sh --fleet      # PAN_SANITIZE=ON build, then the proxy
 #                                 # fleet suite + bench_fleet_scale --smoke;
 #                                 # fails on any strict downgrade, deadline
@@ -115,7 +117,7 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   echo "==> bench-smoke: forwarding micro-benchmarks (zero-copy data plane)"
   run_suite build
   out="$(./build/bench/bench_micro \
-    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries|TimerRearm|StreamAged' \
+    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries|TimerRearm|ScopeTeardown|StreamAged' \
     --benchmark_min_time=0.1 \
     --benchmark_format=json)"
   echo "$out"
@@ -146,6 +148,11 @@ assert rearm["queued_events"] == 1, \
 assert rearm["event_slots"] == 1, f"timer re-arms grew the slot table to {rearm['event_slots']}"
 assert rearm["allocs_per_rearm"] == 0, "timer re-arm allocates"
 print(f"BM_TimerRearm: {rearm['iterations']} re-arms, 1 queued event in 1 slot, 0 allocs")
+scope = runs["BM_ScopeTeardown/64"]
+assert scope["queued_events"] == 0, \
+    f"scope teardown left {scope['queued_events']} queued events"
+assert scope["allocs_per_schedule"] == 0, "scheduling through a scope allocates"
+print(f"BM_ScopeTeardown: {scope['iterations']} x 64 events, 0 queued after teardown, 0 allocs")
 aged = runs["BM_StreamAged"]
 assert aged["live_streams"] <= 2, \
     f"{aged['iterations']} exchanges left {aged['live_streams']} live streams"

@@ -271,23 +271,19 @@ proxy::ProxyResult FleetSession::fetch(const std::string& url, bool strict) {
 }
 
 SurgeLoad::SurgeLoad(World& world, proxy::SkipProxy& proxy)
-    : world_(world),
-      fetch_([&proxy](http::HttpRequest request, proxy::ProxyRequestOptions options,
-                      proxy::SkipProxy::FetchFn on_result) {
+    : SurgeLoad(world, [&proxy](http::HttpRequest request, proxy::ProxyRequestOptions options,
+                                proxy::SkipProxy::FetchFn on_result) {
         proxy.fetch(std::move(request), std::move(options), std::move(on_result));
-      }),
-      alive_(std::make_shared<bool>(true)) {
-  world_.injector().set_surge_hook(
-      [this](const fault::FaultEvent& event, bool active) { on_event(event, active); });
-}
+      }) {}
 
 SurgeLoad::SurgeLoad(World& world, proxy::ProxyCluster& cluster)
-    : world_(world),
-      fetch_([&cluster](http::HttpRequest request, proxy::ProxyRequestOptions options,
-                        proxy::SkipProxy::FetchFn on_result) {
+    : SurgeLoad(world, [&cluster](http::HttpRequest request, proxy::ProxyRequestOptions options,
+                                  proxy::SkipProxy::FetchFn on_result) {
         cluster.fetch(std::move(request), std::move(options), std::move(on_result));
-      }),
-      alive_(std::make_shared<bool>(true)) {
+      }) {}
+
+SurgeLoad::SurgeLoad(World& world, FetchTarget fetch)
+    : world_(world), fetch_(std::move(fetch)), scope_(world.sim()) {
   world_.injector().set_surge_hook(
       [this](const fault::FaultEvent& event, bool active) { on_event(event, active); });
 }
@@ -343,9 +339,7 @@ void SurgeLoad::tick() {
                  });
   }
   const auto interval = Duration{static_cast<std::int64_t>(1e9 / rate_)};
-  world_.sim().schedule_after(interval, [this, alive = alive_] {
-    if (*alive) tick();
-  });
+  scope_.schedule_after(interval, [this] { tick(); });
 }
 
 DirectSession::DirectSession(World& world, BrowserConfig browser_config) : world_(world) {

@@ -234,10 +234,13 @@ class SurgeLoad {
   void on_event(const fault::FaultEvent& event, bool active);
   void tick();
 
-  World& world_;
   /// Erased fetch target: SkipProxy::fetch or ProxyCluster::fetch.
-  std::function<void(http::HttpRequest, proxy::ProxyRequestOptions, proxy::SkipProxy::FetchFn)>
-      fetch_;
+  using FetchTarget =
+      std::function<void(http::HttpRequest, proxy::ProxyRequestOptions, proxy::SkipProxy::FetchFn)>;
+  SurgeLoad(World& world, FetchTarget fetch);
+
+  World& world_;
+  FetchTarget fetch_;
   Stats stats_;
   std::string domain_;
   std::string path_ = "/";
@@ -246,9 +249,9 @@ class SurgeLoad {
   std::size_t concurrency_ = 0;
   std::size_t in_flight_ = 0;
   bool active_ = false;
-  /// Flipped in the destructor so in-flight fetch callbacks and scheduled
-  /// ticks become no-ops.
-  std::shared_ptr<bool> alive_;
+  /// Fetch callbacks stay with a proxy we do not own, so they check this.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Scope scope_;  // the tick loop dies with the generator
 };
 
 /// The extension-disabled baseline browser ("BGP/IP-Only").

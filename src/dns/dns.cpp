@@ -26,13 +26,13 @@ const RecordSet* Zone::lookup(const std::string& domain) const {
 }
 
 Resolver::Resolver(sim::Simulator& sim, const Zone& zone, ResolverConfig config)
-    : sim_(sim), zone_(zone), config_(config) {}
+    : scope_(sim), zone_(zone), config_(config) {}
 
 void Resolver::resolve(const std::string& domain,
                        std::function<void(Result<RecordSet>)> callback) {
   const auto it = cache_.find(domain);
   if (it != cache_.end()) {
-    const Duration age = sim_.now() - it->second.fetched_at;
+    const Duration age = scope_.now() - it->second.fetched_at;
     const Duration ttl =
         it->second.records.has_value() ? config_.cache_ttl : config_.negative_ttl;
     if (age < ttl) {
@@ -54,17 +54,17 @@ void Resolver::resolve(const std::string& domain,
                                 ? std::max(config_.lookup_latency, fault->delay)
                                 : std::max(config_.query_timeout, fault->delay);
       const bool servfail = fault->servfail;
-      sim_.schedule_after(wait, [this, domain, servfail, cb = std::move(callback)] {
+      scope_.schedule_after(wait, [this, domain, servfail, cb = std::move(callback)] {
         ++fault_errors_;
         cb(Err((servfail ? "SERVFAIL: " : "DNS timeout: ") + domain));
       });
       return;
     }
   }
-  sim_.schedule_after(config_.lookup_latency, [this, domain, cb = std::move(callback)] {
+  scope_.schedule_after(config_.lookup_latency, [this, domain, cb = std::move(callback)] {
     const RecordSet* records = zone_.lookup(domain);
     CacheEntry entry;
-    entry.fetched_at = sim_.now();
+    entry.fetched_at = scope_.now();
     if (records != nullptr) {
       entry.records = *records;
       cache_[domain] = entry;

@@ -88,7 +88,7 @@ class Resolver {
     TimePoint fetched_at;
   };
 
-  sim::Simulator& sim_;
+  sim::Scope scope_;  // pending lookups die with the resolver
   const Zone& zone_;
   ResolverConfig config_;
   FaultHook fault_hook_;

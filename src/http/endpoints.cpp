@@ -66,7 +66,8 @@ ScionHttpConnection::ScionHttpConnection(scion::ScionStack& stack,
                                          scion::ScionEndpoint server,
                                          scion::DataplanePath path,
                                          transport::TransportConfig config)
-    : client_(stack, server, std::move(path), std::move(config)) {
+    : client_(stack, server, std::move(path), std::move(config)),
+      scope_(stack.host().simulator()) {
   client_.connection().start();
 }
 
@@ -82,16 +83,11 @@ void ScionHttpConnection::fetch(const HttpRequest& request,
   // exchange synchronously (even from a later fetch() on this connection,
   // which can be invoked re-entrantly from `cb`) would free an object that
   // is still on the call stack.
-  raw->fetch(request, [this, id, alive = alive_,
-                       cb = std::move(on_response)](Result<HttpResponse> result) {
+  raw->fetch(request, [this, id, cb = std::move(on_response)](Result<HttpResponse> result) {
     cb(std::move(result));
-    client_.connection().simulator().schedule_after(Duration::zero(), [this, id, alive] {
-      if (*alive) exchanges_.erase(id);
-    });
+    scope_.schedule_after(Duration::zero(), [this, id] { exchanges_.erase(id); });
   });
 }
-
-ScionHttpConnection::~ScionHttpConnection() { *alive_ = false; }
 
 void ScionHttpConnection::close() { client_.connection().close("done"); }
 

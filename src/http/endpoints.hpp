@@ -80,7 +80,6 @@ class ScionHttpConnection {
   ScionHttpConnection(scion::ScionStack& stack, scion::ScionEndpoint server,
                       scion::DataplanePath path,
                       transport::TransportConfig config = default_quic_config());
-  ~ScionHttpConnection();
 
   void fetch(const HttpRequest& request, HttpClientStream::ResponseFn on_response);
   /// Migrates the connection to a different path.
@@ -91,7 +90,7 @@ class ScionHttpConnection {
  private:
   transport::ScionTransportClient client_;
   std::unordered_map<std::uint32_t, std::unique_ptr<HttpClientStream>> exchanges_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Scope scope_;  // deferred exchange erasures
 };
 
 }  // namespace pan::http

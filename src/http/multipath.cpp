@@ -21,12 +21,10 @@ MultipathScionConnection::MultipathScionConnection(scion::ScionStack& stack,
                                                    scion::ScionEndpoint server,
                                                    std::vector<scion::Path> paths,
                                                    MultipathConfig config)
-    : stack_(stack), server_(server), config_(std::move(config)) {
+    : stack_(stack), server_(server), config_(std::move(config)), scope_(stack.host().simulator()) {
   channels_.reserve(paths.size());
   for (scion::Path& path : paths) add_channel(stack_, std::move(path));
 }
-
-MultipathScionConnection::~MultipathScionConnection() { *alive_ = false; }
 
 void MultipathScionConnection::add_channel(scion::ScionStack& stack, scion::Path path,
                                            std::string access) {
@@ -55,7 +53,7 @@ std::size_t MultipathScionConnection::usable_count() const {
 
 void MultipathScionConnection::maybe_redial(std::size_t index) {
   Channel& channel = channels_[index];
-  if (closed_ || config_.max_redials == 0 || channel.redial_pending) return;
+  if (config_.max_redials == 0 || channel.redial_pending) return;
   if (channel_usable(channel)) return;
   if (channel.redials >= config_.max_redials) return;  // budget exhausted
   Duration backoff = config_.redial_backoff;
@@ -66,9 +64,7 @@ void MultipathScionConnection::maybe_redial(std::size_t index) {
   PAN_DEBUG(kLog) << "channel " << channel.stats.fingerprint << " dead; re-dial "
                   << channel.redials << "/" << config_.max_redials << " in "
                   << to_string(backoff);
-  auto alive = alive_;
-  channel.stack->host().simulator().schedule_after(backoff, [this, alive, index] {
-    if (!*alive || closed_) return;
+  scope_.schedule_after(backoff, [this, index] {
     Channel& dead = channels_[index];
     dead.redial_pending = false;
     if (channel_usable(dead)) return;  // recovered on its own in the meantime

@@ -43,8 +43,6 @@ class MultipathScionConnection {
   MultipathScionConnection(scion::ScionStack& stack, scion::ScionEndpoint server,
                            std::vector<scion::Path> paths, MultipathConfig config = {});
 
-  ~MultipathScionConnection();
-
   MultipathScionConnection(const MultipathScionConnection&) = delete;
   MultipathScionConnection& operator=(const MultipathScionConnection&) = delete;
 
@@ -106,9 +104,7 @@ class MultipathScionConnection {
   MultipathConfig config_;
   std::vector<Channel> channels_;
   std::size_t rr_cursor_ = 0;
-  bool closed_ = false;
-  /// Flipped in the destructor so pending re-dial timers become no-ops.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Scope scope_;  // pending re-dials die with the connection
 };
 
 }  // namespace pan::http

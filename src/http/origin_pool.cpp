@@ -40,7 +40,7 @@ bool OriginPool::is_pool_synthesized(const std::string& error) {
 
 OriginPool::OriginPool(sim::Simulator& sim, obs::MetricsRegistry& metrics,
                        OriginPoolConfig config)
-    : sim_(sim),
+    : scope_(sim),
       metrics_(metrics),
       config_(std::move(config)),
       hits_(metrics.counter("pool." + config_.name + ".hits")),
@@ -57,10 +57,8 @@ OriginPool::OriginPool(sim::Simulator& sim, obs::MetricsRegistry& metrics,
       queue_depth_(metrics.gauge("pool." + config_.name + ".queue_depth")),
       queue_wait_(metrics.histogram("pool.queue_wait")) {}
 
-OriginPool::~OriginPool() { *alive_ = false; }
-
 bool OriginPool::cooling_down(const Origin& origin) const {
-  return config_.backoff_threshold > 0 && sim_.now() < origin.cooldown_until;
+  return config_.backoff_threshold > 0 && scope_.now() < origin.cooldown_until;
 }
 
 void OriginPool::set_conn_gauge() {
@@ -68,7 +66,7 @@ void OriginPool::set_conn_gauge() {
 }
 
 void OriginPool::fail_waiter(Waiter waiter, std::string_view error) {
-  if (waiter.timeout_event != sim::kInvalidEventId) sim_.cancel(waiter.timeout_event);
+  scope_.cancel(waiter.timeout_event);
   waiter.on_response(Err(std::string(error)));
 }
 
@@ -93,23 +91,17 @@ void OriginPool::submit(const std::string& key, HttpRequest request, SubmitOptio
   waiter.request = std::move(request);
   waiter.on_response = std::move(on_response);
   waiter.factory = std::move(factory);
-  waiter.enqueued_at = sim_.now();
+  waiter.enqueued_at = scope_.now();
   if (config_.queue_timeout > Duration::zero()) {
-    waiter.timeout_event = sim_.schedule_after(
-        config_.queue_timeout, [this, alive = alive_, key, id = waiter.id] {
-          if (!*alive) return;
-          const auto it = origins_.find(key);
-          if (it == origins_.end()) return;
-          auto& waiting = it->second.waiting;
-          const auto wit = std::find_if(waiting.begin(), waiting.end(),
+    waiter.timeout_event = scope_.schedule_after(
+        config_.queue_timeout, [this, key, id = waiter.id] {
+          // Dispatch cancels the timeout, so the waiter is still parked.
+          Origin& parked = origins_.at(key);
+          const auto wit = std::find_if(parked.waiting.begin(), parked.waiting.end(),
                                         [id](const Waiter& w) { return w.id == id; });
-          if (wit == waiting.end()) return;  // already dispatched
-          Waiter timed_out = std::move(*wit);
-          waiting.erase(wit);
-          --total_queued_;
-          queue_depth_.set(static_cast<double>(total_queued_));
+          Waiter timed_out =
+              take_waiter(parked, static_cast<std::size_t>(wit - parked.waiting.begin()));
           queue_timeouts_.inc();
-          timed_out.timeout_event = sim::kInvalidEventId;  // this event; already fired
           PAN_DEBUG(kLog) << config_.name << "/" << key << ": queue-wait timeout";
           fail_waiter(std::move(timed_out), std::string(kQueueTimeoutError) + ": " + key);
         });
@@ -126,7 +118,7 @@ void OriginPool::release_deferred(std::unique_ptr<PooledConnection> conn) {
   // touches itself again after invoking the callback), so destruction is
   // deferred through the event loop.
   std::shared_ptr<PooledConnection> dead(std::move(conn));
-  sim_.schedule_after(Duration::zero(), [dead] {});
+  scope_.schedule_after(Duration::zero(), [dead] {});
 }
 
 void OriginPool::prune_closed(Origin& origin) {
@@ -138,6 +130,7 @@ void OriginPool::prune_closed(Origin& origin) {
       if (it->conn->transport().state() != transport::Connection::State::kClosed) {
         it->conn->shutdown();
       }
+      scope_.cancel(it->idle_check);
       release_deferred(std::move(it->conn));
       it = origin.conns.erase(it);
       ++removed;
@@ -206,13 +199,13 @@ void OriginPool::dispatch(const std::string& key) {
     {
       const auto expired = std::find_if(
           origin.waiting.begin(), origin.waiting.end(), [this](const Waiter& w) {
-            return w.deadline.has_value() && *w.deadline <= sim_.now();
+            return w.deadline.has_value() && *w.deadline <= scope_.now();
           });
       if (expired != origin.waiting.end()) {
         Waiter waiter = take_waiter(
             origin, static_cast<std::size_t>(expired - origin.waiting.begin()));
         expired_dispatches_.inc();
-        metrics_.events().record(sim_.now(), "pool", "expired-dispatch",
+        metrics_.events().record(scope_.now(), "pool", "expired-dispatch",
                                  config_.name + "/" + key);
         fail_waiter(std::move(waiter), std::string(kExpiredError) + ": " + key);
         continue;
@@ -243,7 +236,7 @@ void OriginPool::dispatch(const std::string& key) {
         chosen = best;  // idle connection: plain reuse
         hits_.inc();
       } else if (usable_conns < config_.max_conns_per_origin) {
-        origin.conns.push_back(Entry{origin.waiting[best_waiter(origin)].factory(), 0, 0});
+        origin.conns.push_back(Entry{origin.waiting[best_waiter(origin)].factory()});
         chosen = origin.conns.size() - 1;
         ++total_conns_;
         set_conn_gauge();
@@ -264,13 +257,13 @@ void OriginPool::dispatch(const std::string& key) {
       const Duration p90 = queue_wait_.percentile(90.0);
       const auto hopeless = std::find_if(
           origin.waiting.begin(), origin.waiting.end(), [&](const Waiter& w) {
-            return w.deadline.has_value() && sim_.now() + p90 >= *w.deadline;
+            return w.deadline.has_value() && scope_.now() + p90 >= *w.deadline;
           });
       if (hopeless == origin.waiting.end()) return;
       Waiter waiter = take_waiter(
           origin, static_cast<std::size_t>(hopeless - origin.waiting.begin()));
       sheds_.inc();
-      metrics_.events().record(sim_.now(), "pool", "shed",
+      metrics_.events().record(scope_.now(), "pool", "shed",
                                config_.name + "/" + key + " queue-wait p90 exceeds budget");
       PAN_DEBUG(kLog) << config_.name << "/" << key
                       << ": shedding waiter (queue-wait p90 exceeds budget)";
@@ -279,26 +272,22 @@ void OriginPool::dispatch(const std::string& key) {
     }
 
     Waiter waiter = take_waiter(origin, best_waiter(origin));
-    if (waiter.timeout_event != sim::kInvalidEventId) sim_.cancel(waiter.timeout_event);
-    queue_wait_.record(sim_.now() - waiter.enqueued_at);
+    scope_.cancel(waiter.timeout_event);
+    queue_wait_.record(scope_.now() - waiter.enqueued_at);
 
     Entry& entry = origin.conns[chosen];
     ++entry.outstanding;
-    ++entry.idle_epoch;  // invalidates any pending idle-eviction check
+    scope_.cancel(entry.idle_check);
     PooledConnection* conn = entry.conn.get();
     conn->fetch(waiter.request,
-                [this, alive = alive_, key, conn, started = sim_.now(),
+                [this, key, conn, started = scope_.now(),
                  cb = std::move(waiter.on_response)](Result<HttpResponse> result) mutable {
-                  if (!*alive) {
-                    cb(std::move(result));
-                    return;
-                  }
                   if (config_.limiter != nullptr) {
-                    config_.limiter->record(key, sim_.now() - started, result.ok());
+                    config_.limiter->record(key, scope_.now() - started, result.ok());
                   }
                   on_fetch_done(key, conn, result.ok());
                   cb(std::move(result));
-                  if (*alive) dispatch(key);
+                  dispatch(key);
                 });
   }
 }
@@ -321,10 +310,10 @@ void OriginPool::on_fetch_done(const std::string& key, PooledConnection* conn, b
   if (config_.backoff_threshold > 0 &&
       origin.consecutive_failures >= config_.backoff_threshold &&
       !cooling_down(origin)) {
-    origin.cooldown_until = sim_.now() + config_.backoff_cooldown;
+    origin.cooldown_until = scope_.now() + config_.backoff_cooldown;
     cooldowns_.inc();
     metrics_.events().record(
-        sim_.now(), "pool", "cooldown",
+        scope_.now(), "pool", "cooldown",
         config_.name + "/" + key + " after " +
             std::to_string(origin.consecutive_failures) + " consecutive failures");
     PAN_DEBUG(kLog) << config_.name << "/" << key << ": " << origin.consecutive_failures
@@ -334,22 +323,20 @@ void OriginPool::on_fetch_done(const std::string& key, PooledConnection* conn, b
 
 void OriginPool::arm_idle_eviction(const std::string& key, Entry& entry) {
   if (config_.idle_ttl <= Duration::zero()) return;
-  const std::uint64_t epoch = entry.idle_epoch;
   PooledConnection* conn = entry.conn.get();
-  sim_.schedule_after(config_.idle_ttl, [this, alive = alive_, key, conn, epoch] {
-    if (!*alive) return;
-    const auto it = origins_.find(key);
-    if (it == origins_.end()) return;
-    auto& conns = it->second.conns;
-    const auto cit = std::find_if(conns.begin(), conns.end(),
+  scope_.cancel(entry.idle_check);
+  // Dispatch and pruning cancel the check, so when it fires the entry is
+  // still pooled and idle.
+  entry.idle_check = scope_.schedule_after(config_.idle_ttl, [this, key, conn] {
+    Origin& origin = origins_.at(key);
+    const auto cit = std::find_if(origin.conns.begin(), origin.conns.end(),
                                   [conn](const Entry& e) { return e.conn.get() == conn; });
-    if (cit == conns.end() || cit->outstanding != 0 || cit->idle_epoch != epoch) return;
     cit->conn->shutdown();
     release_deferred(std::move(cit->conn));
-    conns.erase(cit);
+    origin.conns.erase(cit);
     --total_conns_;
     evictions_.inc();
-    ++it->second.evictions;
+    ++origin.evictions;
     set_conn_gauge();
   });
 }
@@ -383,7 +370,7 @@ std::size_t OriginPool::retire(const std::string& key) {
     ++closed;
   }
   if (closed > 0) {
-    metrics_.events().record(sim_.now(), "pool", "retire",
+    metrics_.events().record(scope_.now(), "pool", "retire",
                              config_.name + "/" + key + " closed " +
                                  std::to_string(closed) + " conns");
   }

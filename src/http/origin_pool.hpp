@@ -138,7 +138,6 @@ class OriginPool {
   [[nodiscard]] static bool is_pool_synthesized(const std::string& error);
 
   OriginPool(sim::Simulator& sim, obs::MetricsRegistry& metrics, OriginPoolConfig config);
-  ~OriginPool();
 
   OriginPool(const OriginPool&) = delete;
   OriginPool& operator=(const OriginPool&) = delete;
@@ -203,9 +202,7 @@ class OriginPool {
   struct Entry {
     std::unique_ptr<PooledConnection> conn;
     std::size_t outstanding = 0;
-    /// Bumped on every dispatch; an idle-eviction event only fires if the
-    /// connection is still on the epoch it went idle with.
-    std::uint64_t idle_epoch = 0;
+    sim::EventId idle_check = sim::kInvalidEventId;  ///< cancelled on dispatch/re-arm/prune
   };
   struct Waiter {
     std::uint64_t id = 0;
@@ -243,7 +240,9 @@ class OriginPool {
   void release_deferred(std::unique_ptr<PooledConnection> conn);
   void set_conn_gauge();
 
-  sim::Simulator& sim_;
+  /// Queue timeouts, idle eviction and deferred releases die with the pool.
+  /// Fetch callbacks need no guard: the connections holding them are ours.
+  sim::Scope scope_;
   obs::MetricsRegistry& metrics_;
   OriginPoolConfig config_;
   std::unordered_map<std::string, Origin> origins_;
@@ -264,9 +263,6 @@ class OriginPool {
   obs::Gauge& conns_gauge_;
   obs::Gauge& queue_depth_;
   obs::Histogram& queue_wait_;
-  /// Guards simulator events (queue timeouts, idle eviction) and in-flight
-  /// fetch callbacks against pool teardown.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 /// LegacyHttpConnection (HTTP over TCP-lite/IP) pool adapter.

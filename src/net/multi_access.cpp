@@ -41,9 +41,7 @@ const char* to_string(AccessHealth health) {
 }
 
 MultiAccessHost::MultiAccessHost(sim::Simulator& sim, MultiAccessConfig config)
-    : sim_(sim), config_(config) {}
-
-MultiAccessHost::~MultiAccessHost() { *alive_ = false; }
+    : scope_(sim), config_(config) {}
 
 void MultiAccessHost::add_access(const std::string& name, Host& host) {
   if (find(name) != nullptr) return;
@@ -58,7 +56,7 @@ void MultiAccessHost::start_probes() {
     Access& access = *accesses_[i];
     if (access.probing) continue;
     access.probing = true;
-    access.last_reply = sim_.now();  // baseline for the silence window
+    access.last_reply = scope_.now();  // baseline for the silence window
     // The probe is a datagram addressed to ourselves: it rides the access
     // link to the first-hop AS router and comes back over the host route, so
     // the RTT measures the access link and a dead link swallows it.
@@ -336,7 +334,7 @@ void MultiAccessHost::send_probe(std::size_t index) {
   Access& access = *accesses_[index];
   if (access.probe_socket == nullptr) return;
   const std::uint64_t seq = access.next_seq++;
-  access.outstanding[seq] = sim_.now();
+  access.outstanding[seq] = scope_.now();
   ++access.probes_sent;
   // Priority admission: the probe must not be tail-dropped behind a bulk
   // transfer saturating the access link — congestion has to surface as a
@@ -344,15 +342,9 @@ void MultiAccessHost::send_probe(std::size_t index) {
   access.probe_socket->send_to(access.probe_socket->local_endpoint(),
                                from_string(std::string(kProbePrefix) + std::to_string(seq)),
                                /*priority=*/true);
-  auto alive = alive_;
-  sim_.schedule_after(config_.probe_timeout, [this, alive, index, seq] {
-    if (!*alive) return;
-    on_probe_timeout(index, seq);
-  });
-  sim_.schedule_after(config_.probe_interval, [this, alive, index] {
-    if (!*alive) return;
-    send_probe(index);
-  });
+  scope_.schedule_after(config_.probe_timeout,
+                        [this, index, seq] { on_probe_timeout(index, seq); });
+  scope_.schedule_after(config_.probe_interval, [this, index] { send_probe(index); });
 }
 
 void MultiAccessHost::on_probe_reply(std::size_t index, std::uint64_t seq) {
@@ -368,11 +360,11 @@ void MultiAccessHost::on_probe_reply(std::size_t index, std::uint64_t seq) {
     // access dead under its own load.
     auto late_it = access.late.find(seq);
     if (late_it == access.late.end()) return;
-    const Duration rtt = sim_.now() - late_it->second;
+    const Duration rtt = scope_.now() - late_it->second;
     access.late.erase(late_it);
     ++access.probes_acked;
     access.misses = 0;
-    access.last_reply = sim_.now();
+    access.last_reply = scope_.now();
     if (access.health == AccessHealth::kDown &&
         ++access.hits >= config_.up_after_hits) {
       set_health(access, AccessHealth::kHealthy);
@@ -380,11 +372,11 @@ void MultiAccessHost::on_probe_reply(std::size_t index, std::uint64_t seq) {
     fold_rtt(access, rtt);
     return;
   }
-  const Duration rtt = sim_.now() - it->second;
+  const Duration rtt = scope_.now() - it->second;
   access.outstanding.erase(it);
   ++access.probes_acked;
   access.misses = 0;
-  access.last_reply = sim_.now();
+  access.last_reply = scope_.now();
   if (access.health == AccessHealth::kDown) {
     if (++access.hits >= config_.up_after_hits) {
       set_health(access, AccessHealth::kHealthy);
@@ -413,7 +405,7 @@ void MultiAccessHost::on_probe_timeout(std::size_t index, std::uint64_t seq) {
       config_.probe_timeout +
       config_.probe_interval * static_cast<std::int64_t>(config_.down_after_misses);
   if (access.misses >= config_.down_after_misses &&
-      sim_.now() - access.last_reply >= silence_window &&
+      scope_.now() - access.last_reply >= silence_window &&
       access.health != AccessHealth::kDown) {
     set_health(access, AccessHealth::kDown);
   }

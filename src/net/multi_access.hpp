@@ -93,7 +93,6 @@ struct MultiAccessConfig {
 class MultiAccessHost {
  public:
   explicit MultiAccessHost(sim::Simulator& sim, MultiAccessConfig config = {});
-  ~MultiAccessHost();
 
   MultiAccessHost(const MultiAccessHost&) = delete;
   MultiAccessHost& operator=(const MultiAccessHost&) = delete;
@@ -182,13 +181,11 @@ class MultiAccessHost {
   void on_probe_timeout(std::size_t index, std::uint64_t seq);
   [[nodiscard]] std::string pick_bulk(const std::vector<std::size_t>& usable);
 
-  sim::Simulator& sim_;
+  sim::Scope scope_;  // probe ticks and timeouts die with the host
   MultiAccessConfig config_;
   std::vector<std::unique_ptr<Access>> accesses_;
   std::map<std::uint64_t, HealthFn> subscribers_;
   std::uint64_t next_subscriber_ = 1;
-  /// Flipped in the destructor so scheduled probe ticks become no-ops.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace pan::net

@@ -47,7 +47,7 @@ const char* to_string(ReplicaHealth health) {
 
 ProxyCluster::ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionStack& stack,
                            scion::Daemon& daemon, const dns::Zone& zone, ClusterConfig config)
-    : sim_(sim),
+    : scope_(sim),
       host_(host),
       stack_(stack),
       daemon_(daemon),
@@ -56,8 +56,7 @@ ProxyCluster::ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionSta
       owned_metrics_(config_.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
                                                 : nullptr),
       metrics_(config_.metrics != nullptr ? config_.metrics : owned_metrics_.get()),
-      fleet_series_(*metrics_, config_.timeseries, sim.now()),
-      alive_(std::make_shared<bool>(true)) {
+      fleet_series_(*metrics_, config_.timeseries, sim.now()) {
   config_.replicas = std::max<std::size_t>(1, config_.replicas);
   config_.vnodes_per_replica = std::max<std::size_t>(1, config_.vnodes_per_replica);
   replicas_.resize(config_.replicas);
@@ -72,36 +71,27 @@ ProxyCluster::ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionSta
   update_health_gauges();
   // The prober heartbeat; runs for the cluster's whole life.
   if (config_.probe_interval > Duration::zero()) {
-    sim_.schedule_after(config_.probe_interval, [this, alive = alive_] {
-      if (*alive) probe_all();
-    });
+    scope_.schedule_after(config_.probe_interval, [this] { probe_all(); });
   }
 }
 
-ProxyCluster::~ProxyCluster() { *alive_ = false; }
-
 void ProxyCluster::build_replica(std::size_t index) {
   Replica& rep = replicas_[index];
-  rep.resolver = std::make_unique<dns::Resolver>(sim_, zone_, config_.resolver);
+  rep.resolver = std::make_unique<dns::Resolver>(scope_.simulator(), zone_, config_.resolver);
   if (config_.on_resolver_created) config_.on_resolver_created(*rep.resolver);
   ProxyConfig proxy_config = config_.proxy;
   // Each replica's .prom exposition carries its own instance label so a
   // fleet scrape can tell the series apart.
   proxy_config.prom_instance = rep.name;
-  rep.proxy =
-      std::make_unique<SkipProxy>(sim_, host_, stack_, daemon_, *rep.resolver, proxy_config);
-  rep.crashed = false;
+  rep.proxy = std::make_unique<SkipProxy>(scope_.simulator(), host_, stack_, daemon_,
+                                          *rep.resolver, proxy_config);
   rep.hung = false;
   rep.probe_misses = 0;
   rep.error_ewma = 0.0;
-  install_learn_hook(index);
-}
-
-void ProxyCluster::install_learn_hook(std::size_t index) {
-  replicas_[index].proxy->detector().set_learn_hook(
-      [this, index, alive = alive_](const std::string& domain, const scion::ScionAddr& addr,
-                                    Duration max_age, const std::string& identity) {
-        if (*alive) broadcast_learn(index, domain, addr, max_age, identity);
+  rep.proxy->detector().set_learn_hook(
+      [this, index](const std::string& domain, const scion::ScionAddr& addr,
+                    Duration max_age, const std::string& identity) {
+        broadcast_learn(index, domain, addr, max_age, identity);
       });
 }
 
@@ -112,7 +102,7 @@ void ProxyCluster::broadcast_learn(std::size_t from, const std::string& domain,
   // hook-free import path — a broadcast must never echo.
   bool any = false;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    if (i == from || replicas_[i].crashed || replicas_[i].proxy == nullptr) continue;
+    if (i == from || replicas_[i].crashed()) continue;
     replicas_[i].proxy->detector().apply_learned(domain, addr, max_age, identity);
     any = true;
   }
@@ -128,7 +118,7 @@ void ProxyCluster::broadcast_learn(std::size_t from, const std::string& domain,
 // --- routing ---------------------------------------------------------------
 
 bool ProxyCluster::accepts(const Replica& rep, const std::string& origin_key) const {
-  if (rep.crashed || rep.proxy == nullptr) return false;
+  if (rep.crashed()) return false;
   if (rep.health == ReplicaHealth::kDown) return false;
   if (rep.draining) {
     // Draining replicas finish the origins they own; nothing new.
@@ -187,7 +177,7 @@ void ProxyCluster::fetch(http::HttpRequest request, ProxyRequestOptions options,
   pending->options = std::move(options);
   pending->on_result = std::move(on_result);
   pending->deadline = pending->options.deadline.value_or(
-      sim_.now() + config_.proxy.request_timeout);
+      scope_.now() + config_.proxy.request_timeout);
   pending->options.deadline = pending->deadline;
 
   const int index = route(pending->origin_key, pending->tried);
@@ -203,7 +193,6 @@ void ProxyCluster::fetch(http::HttpRequest request, ProxyRequestOptions options,
 void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index) {
   Replica& rep = replicas_[replica_index];
   pending->replica_index = replica_index;
-  pending->replica_generation = rep.generation;
   pending->tried.push_back(replica_index);
   ++pending->attempt;
   ++rep.dispatched;
@@ -226,24 +215,17 @@ void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index
     // replica mints a fresh one.
     options.trace = nullptr;
   }
-  const std::uint64_t generation = rep.generation;
-  const std::uint64_t attempt = pending->attempt;
   rep.proxy->fetch(
-      pending->request, std::move(options),
-      [this, alive = alive_, pending, replica_index, generation,
-       attempt](ProxyResult result) {
-        if (!*alive) return;
+      pending->request, std::move(options), [this, pending, replica_index](ProxyResult result) {
         Replica& from = replicas_[replica_index];
-        // Answers from a dead process generation died with it; answers from
-        // a wedged replica never make it out of the box.
-        if (from.generation != generation) return;
+        // A crashed replica's answers died with its proxy; a wedged
+        // replica's never make it out of the box.
         if (from.hung) return;
         ++from.answered;
         const bool error = result.transport == TransportUsed::kError ||
                            result.response.status >= 500;
         record_answer(replica_index, error);
         if (pending->done) return;  // a hedge already answered (first wins)
-        (void)attempt;
         deliver(pending, std::move(result));
       });
   arm_failover_timer(pending);
@@ -251,11 +233,11 @@ void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index
 
 void ProxyCluster::arm_failover_timer(const PendingPtr& pending) {
   const TimePoint final_check = pending->deadline - config_.failover_margin;
-  TimePoint when = std::min(final_check, sim_.now() + config_.failover_timeout);
-  if (when < sim_.now()) when = sim_.now();
+  TimePoint when = std::min(final_check, scope_.now() + config_.failover_timeout);
+  if (when < scope_.now()) when = scope_.now();
   const std::uint64_t attempt = pending->attempt;
-  sim_.schedule_at(when, [this, alive = alive_, pending, attempt] {
-    if (!*alive || pending->done) return;
+  scope_.schedule_at(when, [this, pending, attempt] {
+    if (pending->done) return;
     if (pending->attempt != attempt) return;  // a newer attempt owns the timer
     on_unanswered(pending, "timeout");
   });
@@ -267,7 +249,7 @@ void ProxyCluster::on_unanswered(const PendingPtr& pending, const char* reason) 
   record_answer(pending->replica_index, /*error=*/true);
 
   const TimePoint final_check = pending->deadline - config_.failover_margin;
-  const bool budget_left = sim_.now() < final_check;
+  const bool budget_left = scope_.now() < final_check;
   const int next =
       budget_left && pending->failovers < config_.max_failovers
           ? route(pending->origin_key, pending->tried)
@@ -285,8 +267,8 @@ void ProxyCluster::on_unanswered(const PendingPtr& pending, const char* reason) 
     // Out of replicas (or failovers) but not out of time: the in-flight
     // attempt may still answer. Re-arm a last check at the final instant.
     const std::uint64_t attempt = pending->attempt;
-    sim_.schedule_at(final_check, [this, alive = alive_, pending, attempt] {
-      if (!*alive || pending->done || pending->attempt != attempt) return;
+    scope_.schedule_at(final_check, [this, pending, attempt] {
+      if (pending->done || pending->attempt != attempt) return;
       shed(pending, "deadline exhausted at " + replicas_[pending->replica_index].name);
     });
     return;
@@ -322,17 +304,17 @@ void ProxyCluster::refresh_fleet_metrics() {
   // Scrape-time pull: live replicas contribute their current registry
   // directly; crashed ones keep whatever the probe channel last shipped.
   for (Replica& rep : replicas_) {
-    if (rep.crashed || rep.proxy == nullptr) continue;
-    aggregator_.ingest(rep.name, rep.generation, rep.proxy->metrics(), sim_.now());
+    if (rep.crashed()) continue;
+    aggregator_.ingest(rep.name, rep.generation, rep.proxy->metrics(), scope_.now());
   }
-  fleet_series_.observe(sim_.now());
+  fleet_series_.observe(scope_.now());
 }
 
 void ProxyCluster::serve_fleet(const http::HttpRequest& request, ProxyRequestOptions options,
                                const SkipProxy::FetchFn& on_result) {
   (void)options;
   count("fleet.internal");
-  fleet_series_.observe(sim_.now());
+  fleet_series_.observe(scope_.now());
   ProxyResult result;
   result.transport = TransportUsed::kInternal;
   const auto [path_view, query] = http::split_target(request.target);
@@ -380,7 +362,7 @@ void ProxyCluster::forward_internal(http::HttpRequest request, ProxyRequestOptio
   // Control requests go to the first replica that can answer at all
   // (draining replicas still serve their control surface).
   for (Replica& rep : replicas_) {
-    if (rep.crashed || rep.proxy == nullptr || rep.hung) continue;
+    if (rep.crashed() || rep.hung) continue;
     if (rep.health == ReplicaHealth::kDown) continue;
     rep.proxy->fetch(std::move(request), std::move(options), std::move(on_result));
     return;
@@ -404,17 +386,16 @@ ProxyCluster::Replica* ProxyCluster::find(const std::string& name) {
 
 void ProxyCluster::crash_replica(const std::string& name) {
   Replica* rep = find(name);
-  if (rep == nullptr || rep->crashed) return;
+  if (rep == nullptr || rep->crashed()) return;
   count("fleet.crashes");
   event("crash", name);
   PAN_TRACE(kLog) << "crash: " << name;
-  rep->crashed = true;
   rep->hung = false;
   ++rep->generation;
-  // Never destroy a live SkipProxy mid-run: scheduled sim events (deadline
-  // timers, pool sweeps) hold raw pointers into it. Park it instead.
-  proxy_graveyard_.push_back(std::move(rep->proxy));
-  resolver_graveyard_.push_back(std::move(rep->resolver));
+  // The process dies with everything it had scheduled (their scopes cancel
+  // it); the proxy goes first, as it holds the resolver.
+  rep->proxy.reset();
+  rep->resolver.reset();
   set_health(*rep, ReplicaHealth::kDown, "crash");
 
   // In-flight requests on this replica will never answer; fail them over
@@ -429,7 +410,7 @@ void ProxyCluster::crash_replica(const std::string& name) {
 
 void ProxyCluster::revive_replica(const std::string& name) {
   Replica* rep = find(name);
-  if (rep == nullptr || !rep->crashed) return;
+  if (rep == nullptr || !rep->crashed()) return;
   ++rep->generation;
   build_replica(static_cast<std::size_t>(rep - replicas_.data()));
   rep->draining = false;
@@ -452,7 +433,7 @@ void ProxyCluster::restart_replica(const std::string& name) {
 
 void ProxyCluster::set_replica_hung(const std::string& name, bool hung) {
   Replica* rep = find(name);
-  if (rep == nullptr || rep->crashed || rep->hung == hung) return;
+  if (rep == nullptr || rep->crashed() || rep->hung == hung) return;
   rep->hung = hung;
   event(hung ? "hang" : "unhang", name);
   if (hung) {
@@ -465,7 +446,7 @@ void ProxyCluster::set_replica_hung(const std::string& name, bool hung) {
 
 void ProxyCluster::drain_replica(const std::string& name) {
   Replica* rep = find(name);
-  if (rep == nullptr || rep->crashed || rep->draining) return;
+  if (rep == nullptr || rep->crashed() || rep->draining) return;
   count("fleet.drains");
   rep->draining = true;
   set_health(*rep, ReplicaHealth::kDraining, "drain");
@@ -476,16 +457,15 @@ void ProxyCluster::drain_replica(const std::string& name) {
   rep->snapshot.breakers = rep->proxy->breaker().export_entries();
   rep->snapshot.quarantines = rep->proxy->selector().quarantine_snapshot();
   rep->snapshot.taken = true;
-  rep->snapshot.taken_at = sim_.now();
+  rep->snapshot.taken_at = scope_.now();
   const std::uint64_t generation = rep->generation;
-  sim_.schedule_after(config_.drain_grace, [this, alive = alive_, index, generation] {
-    if (*alive) complete_drain(index, generation);
-  });
+  scope_.schedule_after(config_.drain_grace,
+                        [this, index, generation] { complete_drain(index, generation); });
 }
 
 void ProxyCluster::complete_drain(std::size_t index, std::uint64_t generation) {
   Replica& rep = replicas_[index];
-  if (!rep.draining || rep.crashed || rep.generation != generation) return;
+  if (!rep.draining || rep.crashed() || rep.generation != generation) return;
   // Hand the owned origins off: erasing ownership lets the next request
   // re-route (and count the handoff); retiring the pooled SCION connections
   // force-closes what the grace period didn't finish.
@@ -506,7 +486,7 @@ void ProxyCluster::complete_drain(std::size_t index, std::uint64_t generation) {
 
 void ProxyCluster::undrain_replica(const std::string& name) {
   Replica* rep = find(name);
-  if (rep == nullptr || rep->crashed || !rep->draining) return;
+  if (rep == nullptr || rep->crashed() || !rep->draining) return;
   rep->draining = false;
   set_health(*rep, ReplicaHealth::kHealthy, "undrain");
   event("undrain", name);
@@ -518,7 +498,7 @@ void ProxyCluster::restore_warm(Replica& rep) {
   // the replica's own last probe snapshot.
   bool imported = false;
   for (const Replica& peer : replicas_) {
-    if (peer.name == rep.name || peer.crashed || peer.proxy == nullptr) continue;
+    if (peer.name == rep.name || peer.crashed()) continue;
     rep.proxy->detector().import_learned(peer.proxy->detector().export_learned());
     imported = true;
     break;
@@ -541,15 +521,13 @@ void ProxyCluster::restore_warm(Replica& rep) {
 
 void ProxyCluster::probe_all() {
   for (std::size_t i = 0; i < replicas_.size(); ++i) probe(i);
-  fleet_series_.observe(sim_.now());
-  sim_.schedule_after(config_.probe_interval, [this, alive = alive_] {
-    if (*alive) probe_all();
-  });
+  fleet_series_.observe(scope_.now());
+  scope_.schedule_after(config_.probe_interval, [this] { probe_all(); });
 }
 
 void ProxyCluster::probe(std::size_t index) {
   Replica& rep = replicas_[index];
-  if (rep.crashed || rep.proxy == nullptr) return;  // already down
+  if (rep.crashed()) return;  // already down
   count("fleet.probes");
   auto answered = std::make_shared<bool>(false);
   const std::uint64_t generation = rep.generation;
@@ -558,20 +536,15 @@ void ProxyCluster::probe(std::size_t index) {
   ping.method = "GET";
   ping.target = "/skip/ping";
   ProxyRequestOptions options;
-  options.deadline = sim_.now() + config_.probe_timeout;
+  options.deadline = scope_.now() + config_.probe_timeout;
   rep.proxy->fetch(std::move(ping), std::move(options),
-                   [this, alive = alive_, index, generation, answered](ProxyResult result) {
-                     if (!*alive) return;
-                     Replica& rep = replicas_[index];
-                     if (rep.generation != generation || rep.hung) return;
-                     if (result.response.status == 200) *answered = true;
+                   [this, index, answered](ProxyResult result) {
+                     if (!replicas_[index].hung) *answered = result.response.status == 200;
                    });
 
-  sim_.schedule_after(config_.probe_timeout, [this, alive = alive_, index, generation,
-                                              answered] {
-    if (!*alive) return;
+  scope_.schedule_after(config_.probe_timeout, [this, index, generation, answered] {
     Replica& rep = replicas_[index];
-    if (rep.crashed || rep.generation != generation) return;
+    if (rep.crashed() || rep.generation != generation) return;
     if (*answered) {
       rep.probe_misses = 0;
       // A live, answering replica: ship its warm state off-box. This is the
@@ -580,11 +553,11 @@ void ProxyCluster::probe(std::size_t index) {
       rep.snapshot.breakers = rep.proxy->breaker().export_entries();
       rep.snapshot.quarantines = rep.proxy->selector().quarantine_snapshot();
       rep.snapshot.taken = true;
-      rep.snapshot.taken_at = sim_.now();
+      rep.snapshot.taken_at = scope_.now();
       // Ship the replica's metrics registry on the same probe channel, so
       // the fleet view keeps the last-known state of replicas that later
       // crash without answering a scrape.
-      aggregator_.ingest(rep.name, rep.generation, rep.proxy->metrics(), sim_.now());
+      aggregator_.ingest(rep.name, rep.generation, rep.proxy->metrics(), scope_.now());
       // A successful probe is a success sample: without this, a replica
       // whose EWMA was driven up by a since-cleared wedge would never earn
       // its way back (nobody routes to it, so no answers decay the EWMA).
@@ -615,7 +588,7 @@ void ProxyCluster::record_answer(std::size_t index, bool error) {
   Replica& rep = replicas_[index];
   rep.error_ewma = (1.0 - config_.error_ewma_alpha) * rep.error_ewma +
                    config_.error_ewma_alpha * (error ? 1.0 : 0.0);
-  if (rep.crashed || rep.draining) return;
+  if (rep.crashed() || rep.draining) return;
   if (rep.health == ReplicaHealth::kHealthy &&
       rep.error_ewma > config_.degraded_error_rate) {
     set_health(rep, ReplicaHealth::kDegraded,
@@ -734,7 +707,7 @@ FleetStats ProxyCluster::stats() const {
 void ProxyCluster::count(const std::string& name) { metrics_->counter(name).inc(); }
 
 void ProxyCluster::event(std::string_view kind, std::string detail) {
-  metrics_->events().record(sim_.now(), "fleet", kind, std::move(detail));
+  metrics_->events().record(scope_.now(), "fleet", kind, std::move(detail));
 }
 
 }  // namespace pan::proxy

@@ -144,7 +144,6 @@ class ProxyCluster {
  public:
   ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionStack& stack,
                scion::Daemon& daemon, const dns::Zone& zone, ClusterConfig config = {});
-  ~ProxyCluster();
 
   ProxyCluster(const ProxyCluster&) = delete;
   ProxyCluster& operator=(const ProxyCluster&) = delete;
@@ -155,8 +154,9 @@ class ProxyCluster {
              SkipProxy::FetchFn on_result);
 
   // --- chaos surface (wired to the replica-* fault verbs by the world) ---
-  /// Kills the replica process: its state is lost, in-flight requests fail
-  /// over immediately, and the ring routes around it.
+  /// Kills the replica process, destroying its proxy and resolver (never
+  /// call it from their callbacks): in-flight requests fail over at once
+  /// and the ring routes around it.
   void crash_replica(const std::string& name);
   /// Revives a crashed replica (the revert of replica-crash): a fresh
   /// process, warm or cold per ClusterConfig::warm_handoff.
@@ -206,13 +206,12 @@ class ProxyCluster {
   struct Replica {
     std::string name;
     std::unique_ptr<dns::Resolver> resolver;
-    std::unique_ptr<SkipProxy> proxy;
+    std::unique_ptr<SkipProxy> proxy;  ///< destroyed on crash, rebuilt on revive
     ReplicaHealth health = ReplicaHealth::kHealthy;
-    bool crashed = false;
     bool hung = false;
     bool draining = false;
-    /// Bumped on crash and restart; answers from an older generation are
-    /// from a process that no longer exists and are dropped.
+    /// Bumped on crash and restart; cluster timers armed for an older
+    /// generation (probe timeouts, drain completion) stand down.
     std::uint64_t generation = 0;
     std::size_t probe_misses = 0;
     double error_ewma = 0.0;
@@ -220,6 +219,8 @@ class ProxyCluster {
     WarmState snapshot;
     std::uint64_t dispatched = 0;
     std::uint64_t answered = 0;
+
+    [[nodiscard]] bool crashed() const { return proxy == nullptr; }
   };
 
   struct PendingRequest {
@@ -230,7 +231,6 @@ class ProxyCluster {
     TimePoint deadline;
     std::string origin_key;
     std::size_t replica_index = 0;
-    std::uint64_t replica_generation = 0;
     std::size_t failovers = 0;
     /// Attempt sequence; stale failover timers check it and stand down.
     std::uint64_t attempt = 0;
@@ -260,7 +260,6 @@ class ProxyCluster {
                         SkipProxy::FetchFn on_result);
 
   void build_replica(std::size_t index);
-  void install_learn_hook(std::size_t index);
   void broadcast_learn(std::size_t from, const std::string& domain,
                        const scion::ScionAddr& addr, Duration max_age,
                        const std::string& identity);
@@ -277,7 +276,9 @@ class ProxyCluster {
 
   [[nodiscard]] Replica* find(const std::string& name);
 
-  sim::Simulator& sim_;
+  /// Prober, failover and drain timers. Callbacks handed to a replica's
+  /// proxy need no guard: the cluster owns the proxy.
+  sim::Scope scope_;
   net::Host& host_;
   scion::ScionStack& stack_;
   scion::Daemon& daemon_;
@@ -289,10 +290,6 @@ class ProxyCluster {
   obs::TimeSeriesStore fleet_series_;  // over *metrics_; must follow it
 
   std::vector<Replica> replicas_;
-  /// Crashed replicas' proxies and resolvers are parked here, never
-  /// destroyed mid-run: scheduled sim events hold raw pointers into them.
-  std::vector<std::unique_ptr<SkipProxy>> proxy_graveyard_;
-  std::vector<std::unique_ptr<dns::Resolver>> resolver_graveyard_;
 
   /// (hash, replica index), sorted by hash.
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
@@ -302,10 +299,6 @@ class ProxyCluster {
 
   std::map<std::uint64_t, PendingPtr> pending_;
   std::uint64_t next_request_id_ = 1;
-
-  /// Flipped in the destructor; scheduled timers and wrapped callbacks
-  /// check it and become no-ops.
-  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace pan::proxy

@@ -20,7 +20,7 @@ std::string path_counter_name(std::string_view fingerprint, std::string_view wha
 }  // namespace
 
 PathSelector::PathSelector(scion::Daemon& daemon, obs::MetricsRegistry* metrics)
-    : daemon_(daemon), metrics_(metrics) {
+    : daemon_(daemon), metrics_(metrics), scope_(daemon.simulator()) {
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = owned_metrics_.get();
@@ -151,10 +151,10 @@ void PathSelector::choose(scion::IsdAsn dst, std::vector<ppl::OrderKey> server_p
       metrics_->counter("selector.access_choices").inc();
     }
   }
-  daemon->query(dst, [this, pref = std::move(server_preference),
-                      override = std::move(override_policies),
-                      exclude = std::move(exclude),
-                      cb = std::move(callback)](std::vector<scion::Path> paths) {
+  daemon->query(dst, scope_, [this, pref = std::move(server_preference),
+                              override = std::move(override_policies),
+                              exclude = std::move(exclude),
+                              cb = std::move(callback)](std::vector<scion::Path> paths) {
     const ppl::PolicySet& policies = override.has_value() ? *override : policies_;
     PathChoice choice;
     choice.candidates = paths.size();

@@ -157,6 +157,7 @@ class PathSelector {
   std::unordered_map<std::string, PathInstruments> paths_;
   std::vector<Revocation> revocations_;
   std::unordered_map<std::string, TimePoint> quarantined_;  // fingerprint -> expiry
+  sim::Scope scope_;  // pending daemon lookups die with the selector
 };
 
 }  // namespace pan::proxy

@@ -116,7 +116,7 @@ http::SubmitOptions SkipProxy::submit_options(const RequestState& req) const {
 
 SkipProxy::SkipProxy(sim::Simulator& sim, net::Host& host, scion::ScionStack& stack,
                      scion::Daemon& daemon, dns::Resolver& resolver, ProxyConfig config)
-    : sim_(sim),
+    : scope_(sim),
       host_(host),
       stack_(stack),
       resolver_(resolver),
@@ -149,8 +149,8 @@ SkipProxy::SkipProxy(sim::Simulator& sim, net::Host& host, scion::ScionStack& st
                                                      config_.scion_aimd.max_limit > 0
                                                  ? &scion_limiter_
                                                  : nullptr)) {
-  legacy_limiter_.set_simulator(&sim_);
-  scion_limiter_.set_simulator(&sim_);
+  legacy_limiter_.set_simulator(&scope_.simulator());
+  scion_limiter_.set_simulator(&scope_.simulator());
   scmp_subscription_ = stack_.subscribe_scmp(
       [this](const scion::ScmpMessage& message) { on_scmp(message); });
   std::vector<obs::SloObjective> objectives =
@@ -168,7 +168,7 @@ SkipProxy::~SkipProxy() {
 void SkipProxy::add_access(const std::string& name, net::Host& host,
                            scion::ScionStack& stack, scion::Daemon& daemon) {
   if (multi_access_ == nullptr) {
-    multi_access_ = std::make_unique<net::MultiAccessHost>(sim_, config_.access);
+    multi_access_ = std::make_unique<net::MultiAccessHost>(scope_.simulator(), config_.access);
     // The constructor attachment is the primary access; it keeps winning
     // deterministic ties until the probes measure otherwise.
     multi_access_->add_access(std::string(kPrimaryAccess), host_);
@@ -242,7 +242,7 @@ void SkipProxy::on_access_health(const std::string& name, net::AccessHealth /*pr
       .set(current == net::AccessHealth::kHealthy    ? 2.0
            : current == net::AccessHealth::kDegraded ? 1.0
                                                      : 0.0);
-  metrics_->events().record(sim_.now(), "access", std::string(to_string(current)), name);
+  metrics_->events().record(scope_.now(), "access", std::string(to_string(current)), name);
   if (current != net::AccessHealth::kDown) return;
   metrics_->counter("proxy.access_down_events").inc();
   // Retire pooled connections riding the dead access: their conduits are
@@ -290,7 +290,7 @@ obs::TracePtr SkipProxy::make_trace() {
   // sim is single-threaded, so this stays deterministic run to run.
   static std::uint64_t instance_seq = 0;
   if (trace_id_base_ == 0) trace_id_base_ = ++instance_seq << 32;
-  return std::make_shared<obs::RequestTrace>(sim_, trace_id_base_ | next_trace_id_++);
+  return std::make_shared<obs::RequestTrace>(scope_.simulator(), trace_id_base_ | next_trace_id_++);
 }
 
 ProxyStats SkipProxy::stats() const {
@@ -451,7 +451,7 @@ void SkipProxy::fetch(http::HttpRequest request, ProxyRequestOptions options,
   req->on_result = std::move(on_result);
   req->trace = options.trace != nullptr ? options.trace : make_trace();
   req->strict = options.strict;
-  req->deadline = options.deadline.value_or(sim_.now() + config_.request_timeout);
+  req->deadline = options.deadline.value_or(scope_.now() + config_.request_timeout);
   // Strict-pinned requests outrank their header class: the user pinned the
   // host, so its requests ride in the document band.
   req->priority = options.strict ? RequestPriority::kDocument : priority_of(request);
@@ -517,8 +517,7 @@ void SkipProxy::fetch(http::HttpRequest request, ProxyRequestOptions options,
 
   // Per-request deadline: whatever state the pipeline is in, the request
   // resolves by then.
-  sim_.schedule_at(req->deadline, [this, req] {
-    if (req->done) return;
+  req->deadline_event = scope_.schedule_at(req->deadline, [this, req] {
     metrics_->counter("proxy.timeouts").inc();
     req->trace->set_outcome("timeout");
     ProxyResult result;
@@ -528,16 +527,17 @@ void SkipProxy::fetch(http::HttpRequest request, ProxyRequestOptions options,
   });
 
   // Browser -> proxy IPC crossing plus proxy processing.
-  sim_.schedule_after(config_.ipc_overhead + config_.processing_overhead,
-                      [this, request = std::move(request), options, req]() mutable {
-                        req->trace->end("ipc");
-                        process(std::move(request), options, req);
-                      });
+  scope_.schedule_after(config_.ipc_overhead + config_.processing_overhead,
+                        [this, request = std::move(request), options, req]() mutable {
+                          req->trace->end("ipc");
+                          process(std::move(request), options, req);
+                        });
 }
 
 void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
   if (req->done) return;
   req->done = true;
+  scope_.cancel(req->deadline_event);
   inflight_scion_.erase(req.get());
   if (req->admitted) {
     overload_.release();
@@ -567,8 +567,8 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
   req->trace->end_all();
   req->trace->begin("ipc");
   // Proxy -> browser IPC crossing.
-  sim_.schedule_after(config_.ipc_overhead, [this, req,
-                                             result = std::move(result)]() mutable {
+  scope_.schedule_after(config_.ipc_overhead, [this, req,
+                                               result = std::move(result)]() mutable {
     req->trace->end("ipc");
     // Terminal outcome: the site that decided the request's fate set it
     // (timeout / shed / breaker-open / ...); derive from the response for
@@ -596,9 +596,9 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
     const std::uint64_t exemplar_id = keep ? req->trace->id() : 0;
     req->trace->flush_to(*metrics_, "proxy.phase.", exemplar_id);
     metrics_->histogram("proxy.request_total")
-        .record(sim_.now() - req->trace->created_at(), exemplar_id,
+        .record(scope_.now() - req->trace->created_at(), exemplar_id,
                 req->trace->created_at());
-    timeseries_.observe(sim_.now());
+    timeseries_.observe(scope_.now());
     result.outcome = std::string(req->trace->outcome());
     result.trace_id = req->trace->id();
     result.spans = req->trace->spans();
@@ -606,14 +606,14 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
     // traced — /skip/trace reading the collector must not grow it.
     if (!internal) {
       if (result.fell_back) req->trace->set_attribute("fell_back", "true");
-      req->trace->report_to(*collector_, "skip-proxy", sim_.now());
+      req->trace->report_to(*collector_, "skip-proxy", scope_.now());
       const int status = result.response.status;
       collector_->finalize(req->trace->id(), req->trace->outcome(), keep);
       if (status >= 500) {
         // 5xx auto-dump: the flight recorder's recent history rides with the
         // trace, so a failed chaos scenario carries its own context.
         metrics_->events().record(
-            sim_.now(), "proxy", "5xx",
+            scope_.now(), "proxy", "5xx",
             strings::format("status=%d trace=%llu outcome=%s", status,
                             static_cast<unsigned long long>(req->trace->id()),
                             result.outcome.c_str()));
@@ -629,7 +629,7 @@ void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPt
   // path component only so "/skip/metrics?prefix=slo." still routes.
   const auto [path_view, query] = http::split_target(request.target);
   const std::string path(path_view);
-  timeseries_.observe(sim_.now());
+  timeseries_.observe(scope_.now());
   ProxyResult result;
   result.transport = TransportUsed::kInternal;
   // Method gate first: a non-GET on a *known* endpoint is 405 + Allow, not
@@ -708,7 +708,7 @@ void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPt
     body += ",\"overload\":" + overload_.snapshot_json();
     body += ",\"adaptive\":{\"legacy\":" + legacy_limiter_.snapshot_json() +
             ",\"scion\":" + scion_limiter_.snapshot_json() + "}";
-    slo_.evaluate(sim_.now());
+    slo_.evaluate(scope_.now());
     body += ",\"slo\":" + slo_.snapshot_json();
     body += ",\"faults\":{";
     first = true;
@@ -757,7 +757,7 @@ void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPt
   } else if (path == "/skip/debug") {
     // The flight-recorder snapshot plus collector and SLO state — the first
     // stop when a scenario goes sideways.
-    slo_.evaluate(sim_.now());
+    slo_.evaluate(scope_.now());
     std::string body = "{\"events\":" + metrics_->events().snapshot_json();
     body += ",\"collector\":" + collector_->stats_json();
     body += ",\"slo\":" + slo_.snapshot_json() + "}";
@@ -979,13 +979,13 @@ Duration SkipProxy::retry_backoff(std::uint32_t attempt) {
 bool SkipProxy::schedule_scion_retry(const ScionContextPtr& ctx, const RequestPtr& req) {
   if (req->attempts > config_.max_scion_retries) return false;
   const Duration backoff = retry_backoff(req->attempts);
-  if (sim_.now() + backoff + deadline_margin(*ctx, *req) >= req->deadline) {
+  if (scope_.now() + backoff + deadline_margin(*ctx, *req) >= req->deadline) {
     return false;  // not enough deadline budget for another attempt
   }
   metrics_->counter("proxy.retries").inc();
   req->trace->begin("backoff");
   const std::uint64_t epoch = req->epoch;
-  sim_.schedule_after(backoff, [this, ctx, req, epoch] {
+  scope_.schedule_after(backoff, [this, ctx, req, epoch] {
     if (req->done || req->epoch != epoch) return;
     req->trace->end("backoff");
     start_scion_attempt(ctx, req);
@@ -1047,7 +1047,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
   const std::uint64_t my_epoch = req->epoch;
   const http::Url& url = ctx->url;
   const scion::ScionAddr addr = ctx->addr;
-  const TimePoint attempt_started = sim_.now();
+  const TimePoint attempt_started = scope_.now();
   // Pool submissions are keyed by (identity, origin): two identities fetching
   // the same origin never share a pooled connection. On a multi-access host
   // the origin is additionally scoped by access — the conduit is physically
@@ -1065,7 +1065,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
   http::HttpRequest origin_request = to_origin_form(url, ctx->request);
   // Propagate the remaining deadline budget so a reverse proxy downstream
   // sheds against the end-to-end deadline rather than its own local default.
-  const Duration remaining_budget = req->deadline - sim_.now();
+  const Duration remaining_budget = req->deadline - scope_.now();
   if (remaining_budget > Duration::zero()) {
     origin_request.headers.set(
         std::string(kDeadlineHeader),
@@ -1150,7 +1150,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
     breaker_.record_success(url.authority());
     // Passive access feedback: the fetch latency the access just delivered.
     if (multi_access_ != nullptr && !req->access.empty()) {
-      multi_access_->record_result(req->access, /*ok=*/true, sim_.now() - attempt_started);
+      multi_access_->record_result(req->access, /*ok=*/true, scope_.now() - attempt_started);
     }
     // Learn availability advertised via Strict-SCION, scoped to the identity
     // that observed it (a per-identity cache, like the browser's HSTS
@@ -1178,7 +1178,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
       }
       selector_.record_rtt(*final_path, pooled->transport().smoothed_rtt());
     }
-    selector_.record_use(*final_path, response.body.size(), sim_.now(),
+    selector_.record_use(*final_path, response.body.size(), scope_.now(),
                          req->identity == kDefaultIdentity
                              ? std::string_view{}
                              : std::string_view(req->identity));
@@ -1212,7 +1212,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
   // abandoning early could not buy anything — no fallback and no time for
   // another attempt — the timer stays unarmed and the request-deadline 504
   // remains the terminal answer.
-  const Duration remaining = req->deadline - sim_.now();
+  const Duration remaining = req->deadline - scope_.now();
   const bool can_fall_back = !req->strict && ctx->fallback_ip.has_value();
   Duration limit = Duration::zero();
   if (can_fall_back) {
@@ -1225,7 +1225,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
     limit = config_.attempt_timeout;
   }
   if (limit <= Duration::zero()) return;
-  sim_.schedule_after(limit, [this, ctx, req, path, my_epoch] {
+  scope_.schedule_after(limit, [this, ctx, req, path, my_epoch] {
     if (req->done || req->epoch != my_epoch) return;
     metrics_->counter("proxy.attempt_timeouts").inc();
     ++req->epoch;  // invalidate the in-flight on_response

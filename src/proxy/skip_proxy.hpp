@@ -358,6 +358,7 @@ class SkipProxy {
     obs::TracePtr trace;
     /// Absolute budget: the request finishes (one way or another) by then.
     TimePoint deadline;
+    sim::EventId deadline_event = sim::kInvalidEventId;  ///< the 504 timer; finish() cancels it
     bool strict = false;
     /// Priority class (admission ladder + pool queue ordering).
     RequestPriority priority = RequestPriority::kSubresource;
@@ -450,7 +451,7 @@ class SkipProxy {
   /// alike fail closed: there is no link left to carry any fallback).
   void fail_no_access(const RequestPtr& req, const std::string& host);
 
-  sim::Simulator& sim_;
+  sim::Scope scope_;  // deadline, IPC, backoff and attempt timers
   net::Host& host_;
   scion::ScionStack& stack_;
   dns::Resolver& resolver_;

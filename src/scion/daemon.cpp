@@ -15,7 +15,8 @@ Daemon::Daemon(sim::Simulator& sim, const PathServerInfra& infra, IsdAsn local_a
                DaemonConfig config)
     : sim_(sim), infra_(infra), local_as_(local_as), config_(config) {}
 
-void Daemon::query(IsdAsn dst, std::function<void(std::vector<Path>)> callback) {
+void Daemon::query(IsdAsn dst, sim::Scope& caller,
+                   std::function<void(std::vector<Path>)> callback) {
   const auto it = cache_.find(dst);
   if (it != cache_.end() && sim_.now() - it->second.fetched_at < config_.cache_ttl) {
     ++cache_hits_;
@@ -31,12 +32,11 @@ void Daemon::query(IsdAsn dst, std::function<void(std::vector<Path>)> callback) 
       return;
     }
     ++frozen_failures_;
-    sim_.schedule_after(config_.lookup_latency,
-                        [cb = std::move(callback)] { cb({}); });
+    caller.schedule_after(config_.lookup_latency, [cb = std::move(callback)] { cb({}); });
     return;
   }
   ++cache_misses_;
-  sim_.schedule_after(config_.lookup_latency, [this, dst, cb = std::move(callback)] {
+  caller.schedule_after(config_.lookup_latency, [this, dst, cb = std::move(callback)] {
     std::vector<Path> paths = combine(dst);
     cache_[dst] = CacheEntry{paths, sim_.now()};
     cb(std::move(paths));

@@ -37,8 +37,9 @@ class Daemon {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
   /// Asynchronous query; callback fires after the simulated lookup latency
-  /// (immediately within the current event when cached).
-  void query(IsdAsn dst, std::function<void(std::vector<Path>)> callback);
+  /// (immediately within the current event when cached). The lookup event
+  /// runs in the caller's scope, so it dies with the caller.
+  void query(IsdAsn dst, sim::Scope& caller, std::function<void(std::vector<Path>)> callback);
 
   /// Synchronous combination without latency modeling (tests, setup code).
   [[nodiscard]] std::vector<Path> query_now(IsdAsn dst);

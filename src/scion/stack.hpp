@@ -51,6 +51,7 @@ class ScionStack {
   [[nodiscard]] std::uint64_t packets_received() const { return received_; }
   [[nodiscard]] std::uint64_t parse_errors() const { return parse_errors_; }
   [[nodiscard]] std::uint64_t scmp_received() const { return scmp_received_; }
+  [[nodiscard]] std::size_t bound_sockets() const { return sockets_.size(); }
 
  private:
   friend class ScionSocket;

@@ -18,9 +18,16 @@ Simulator::Simulator() {
   Logger::set_clock(&clock_hook, this);
 }
 
-Simulator::~Simulator() { Logger::clear_clock(this); }
+Simulator::~Simulator() {
+  while (!heap_.empty()) remove(static_cast<std::uint32_t>(heap_.size() - 1));
+  Logger::clear_clock(this);
+}
 
 EventId Simulator::schedule_at(TimePoint when, std::function<void()> fn) {
+  return schedule(when, std::move(fn), nullptr);
+}
+
+EventId Simulator::schedule(TimePoint when, std::function<void()> fn, Scope* scope) {
   if (when < now_) when = now_;
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {
@@ -30,15 +37,22 @@ EventId Simulator::schedule_at(TimePoint when, std::function<void()> fn) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  slots_[slot].fn = std::move(fn);
+  Slot& target = slots_[slot];
+  target.fn = std::move(fn);
+  if (scope != nullptr) {  // push onto the front of the scope's list
+    target.scope = scope;
+    target.scope_prev = kNone;
+    target.scope_next = scope->head_;
+    if (scope->head_ != kNone) slots_[scope->head_].scope_prev = slot;
+    scope->head_ = slot;
+  }
   heap_.emplace_back();
   sift_up(static_cast<std::uint32_t>(heap_.size() - 1), Entry{when, next_seq_++, slot});
   return (EventId{slots_[slot].generation} << 32) | slot;
 }
 
 EventId Simulator::schedule_after(Duration delay, std::function<void()> fn) {
-  if (delay < Duration::zero()) delay = Duration::zero();
-  return schedule_at(now_ + delay, std::move(fn));
+  return schedule_at(now_ + delay, std::move(fn));  // clamped to now
 }
 
 bool Simulator::cancel(EventId id) {
@@ -46,7 +60,7 @@ bool Simulator::cancel(EventId id) {
   if (slot >= slots_.size()) return false;
   const Slot& target = slots_[slot];
   if (target.generation != static_cast<std::uint32_t>(id >> 32) ||
-      target.heap_index == kNotQueued) {
+      target.heap_index == kNone) {
     return false;
   }
   // The closure dies at the end of this scope, after the queue is
@@ -68,9 +82,18 @@ std::function<void()> Simulator::remove(std::uint32_t index) {
     }
   }
   Slot& freed = slots_[slot];
+  if (freed.scope != nullptr) {  // unlink from the scope's list
+    if (freed.scope_prev == kNone) {
+      freed.scope->head_ = freed.scope_next;
+    } else {
+      slots_[freed.scope_prev].scope_next = freed.scope_next;
+    }
+    if (freed.scope_next != kNone) slots_[freed.scope_next].scope_prev = freed.scope_prev;
+    freed.scope = nullptr;
+  }
   std::function<void()> fn = std::move(freed.fn);
   freed.fn = nullptr;
-  freed.heap_index = kNotQueued;
+  freed.heap_index = kNone;
   if (++freed.generation == 0) freed.generation = 1;
   free_slots_.push_back(slot);
   return fn;
@@ -134,6 +157,11 @@ bool Simulator::run_until_condition(const std::function<bool()>& pred, TimePoint
     if (pred()) return true;
   }
   return pred();
+}
+
+Scope::~Scope() {
+  // Re-read head_ each time: a dropped closure's captures may cancel or schedule.
+  while (head_ != Simulator::kNone) sim_.remove(sim_.slots_[head_].heap_index);
 }
 
 }  // namespace pan::sim

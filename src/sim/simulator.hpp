@@ -12,10 +12,13 @@
 // can never reach the slot's next occupant. cancel() removes the event from
 // the heap immediately: the queue and the slot table stay O(live events), no
 // matter how often timers are re-armed (DESIGN.md §5m).
+// An object that can die while its simulator runs schedules through a Scope
+// member instead; destroying the scope cancels the events still pending.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "util/types.hpp"
@@ -28,10 +31,12 @@ namespace pan::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
+class Scope;
+
 class Simulator {
  public:
   Simulator();
-  /// Unhooks the logger's clock if it still points at this simulator.
+  /// Drops pending events one at a time, then unhooks the logger's clock.
   ~Simulator();
 
   Simulator(const Simulator&) = delete;
@@ -75,12 +80,18 @@ class Simulator {
   [[nodiscard]] std::size_t event_slots() const { return slots_.size(); }
 
  private:
-  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+  friend class Scope;
+  static constexpr std::uint32_t kNone = UINT32_MAX;  // no heap position / no slot
 
+  /// An event scheduled through a Scope is linked into the scope's list by
+  /// `scope_prev`/`scope_next`: scope bookkeeping never allocates.
   struct Slot {
     std::function<void()> fn;
     std::uint32_t generation = 1;
-    std::uint32_t heap_index = kNotQueued;
+    std::uint32_t heap_index = kNone;
+    Scope* scope = nullptr;
+    std::uint32_t scope_prev = kNone;
+    std::uint32_t scope_next = kNone;
   };
   /// Heap entries carry the ordering key, so sifting never touches slots_
   /// except to update the back-pointer.
@@ -93,6 +104,8 @@ class Simulator {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
+
+  EventId schedule(TimePoint when, std::function<void()> fn, Scope* scope);
 
   /// Pops and runs the next event; returns false if the queue is empty or the
   /// next event is beyond `deadline` (clock untouched in that case).
@@ -111,6 +124,36 @@ class Simulator {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<Entry> heap_;  // min-heap on (when, seq)
+};
+
+/// Owner scope, held as a member by an object whose events must not outlive
+/// it. Its events keep their (when, seq) place in the simulator's order.
+class Scope {
+ public:
+  explicit Scope(Simulator& sim) : sim_(sim) {}
+  /// Cancels every event still pending through this scope. Safe from inside
+  /// one of the scope's own events (that one is no longer pending).
+  ~Scope();
+
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  EventId schedule_at(TimePoint when, std::function<void()> fn) {
+    return sim_.schedule(when, std::move(fn), this);
+  }
+  EventId schedule_after(Duration delay, std::function<void()> fn) {
+    return schedule_at(sim_.now() + delay, std::move(fn));  // clamped to now
+  }
+  bool cancel(EventId id) { return sim_.cancel(id); }
+
+  [[nodiscard]] Simulator& simulator() const { return sim_; }
+  [[nodiscard]] TimePoint now() const { return sim_.now(); }
+
+ private:
+  friend class Simulator;
+
+  Simulator& sim_;
+  std::uint32_t head_ = Simulator::kNone;
 };
 
 }  // namespace pan::sim

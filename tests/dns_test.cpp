@@ -2,6 +2,8 @@
 // SCION TXT-record discovery convention.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "dns/dns.hpp"
 
 namespace pan::dns {
@@ -151,6 +153,26 @@ TEST(ResolverTest, RecordsAddedAfterNegativeCacheAppearAfterTtl) {
   });
   fx.sim.run();
   EXPECT_TRUE(fresh);
+}
+
+TEST(ResolverTest, TeardownCancelsPendingLookups) {
+  sim::Simulator sim;
+  Zone zone;
+  zone.add_a("example.org", net::IpAddr{42});
+  auto resolver = std::make_unique<Resolver>(sim, zone);
+  // One lookup on the normal path, one swallowed by a brownout (timeout).
+  resolver->set_fault_hook([](const std::string& domain) -> std::optional<ResolverFault> {
+    if (domain == "browned.org") return ResolverFault{};
+    return std::nullopt;
+  });
+  int answered = 0;
+  resolver->resolve("example.org", [&](Result<RecordSet>) { ++answered; });
+  resolver->resolve("browned.org", [&](Result<RecordSet>) { ++answered; });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  resolver.reset();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_for(seconds(10));
+  EXPECT_EQ(answered, 0);
 }
 
 }  // namespace

@@ -375,8 +375,10 @@ TEST(RebeaconTest, DaemonCachesFlushOnRebeacon) {
   auto world = make_remote_world();
   auto& topo = world->topology();
   scion::Daemon& daemon = topo.daemon_for(world->client);
+  sim::Scope scope(world->sim());
   bool done = false;
-  daemon.query(topo.as_by_name("server-as"), [&](std::vector<scion::Path>) { done = true; });
+  daemon.query(topo.as_by_name("server-as"), scope,
+               [&](std::vector<scion::Path>) { done = true; });
   world->sim().run();
   ASSERT_TRUE(done);
   EXPECT_EQ(daemon.cache_misses(), 1u);
@@ -384,7 +386,7 @@ TEST(RebeaconTest, DaemonCachesFlushOnRebeacon) {
   topo.rebeacon(2'000'000);
   bool done2 = false;
   std::uint32_t seen_ts = 0;
-  daemon.query(topo.as_by_name("server-as"), [&](std::vector<scion::Path> paths) {
+  daemon.query(topo.as_by_name("server-as"), scope, [&](std::vector<scion::Path> paths) {
     done2 = true;
     ASSERT_FALSE(paths.empty());
     seen_ts = paths.front().dataplane().segments.front().origin_ts;
@@ -412,6 +414,24 @@ TEST(RebeaconTest, OldPathsRejectedAfterKeyEpochChange) {
   EXPECT_EQ(fresh.front().dataplane().segments.front().origin_ts, 3'000'000u);
   ASSERT_FALSE(old_paths.empty());
   EXPECT_NE(old_paths.front().dataplane().segments.front().origin_ts, 3'000'000u);
+}
+
+TEST(MultipathTest, TeardownCancelsPendingRedial) {
+  MultipathFixture fx;
+  auto& topo = fx.world->topology();
+  auto conn = std::make_unique<http::MultipathScionConnection>(
+      topo.scion_stack(fx.world->client), scion::ScionEndpoint{topo.scion_addr(fx.rp), 80},
+      fx.paths);
+  conn->channel_transport(0).close("dead");
+  bool answered = false;
+  http::HttpRequest req;
+  req.target = "/obj0.bin";
+  req.headers.set("Host", "www.far.example");
+  // Queues channel 0's backoff re-dial and puts a fetch in flight on channel 1.
+  conn->fetch(req, [&](Result<http::HttpResponse>) { answered = true; });
+  conn.reset();
+  fx.world->sim().run_for(seconds(40));
+  EXPECT_FALSE(answered);
 }
 
 }  // namespace

@@ -213,10 +213,11 @@ TEST(FaultInjector, PathServerStaleServesCacheAndFailsMisses) {
   scion::Daemon& daemon = topo.daemon_for(world->client);
   const scion::IsdAsn server_as = topo.as_by_name("server-as");
   const scion::IsdAsn near_as = topo.as_by_name("near-as");
+  sim::Scope scope(world->sim());
 
   // Warm the cache for server-as only.
   std::vector<scion::Path> warm;
-  daemon.query(server_as, [&](std::vector<scion::Path> paths) { warm = std::move(paths); });
+  daemon.query(server_as, scope, [&](std::vector<scion::Path> paths) { warm = std::move(paths); });
   world->sim().run();
   ASSERT_FALSE(warm.empty());
 
@@ -226,13 +227,13 @@ TEST(FaultInjector, PathServerStaleServesCacheAndFailsMisses) {
   world->sim().run_until(world->sim().now() + seconds(301));
 
   std::vector<scion::Path> stale;
-  daemon.query(server_as, [&](std::vector<scion::Path> paths) { stale = std::move(paths); });
+  daemon.query(server_as, scope, [&](std::vector<scion::Path> paths) { stale = std::move(paths); });
   EXPECT_FALSE(stale.empty());  // served synchronously from the stale cache
   EXPECT_GE(daemon.stale_serves(), 1u);
 
   std::vector<scion::Path> miss{scion::Path()};
   bool missed = false;
-  daemon.query(near_as, [&](std::vector<scion::Path> paths) {
+  daemon.query(near_as, scope, [&](std::vector<scion::Path> paths) {
     miss = std::move(paths);
     missed = true;
   });

@@ -598,5 +598,89 @@ TEST(Fleet, RandomChaosInterleavingsKeepGuarantees) {
   }
 }
 
+TEST(Fleet, CrashDestroysReplicaWithRequestsInFlight) {
+  // A crashed replica's proxy and resolver are destroyed, not parked: the
+  // sockets it bound on the shared proxy host close at the crash, its
+  // timers die with it, and the in-flight requests fail over.
+  proxy::ClusterConfig config;
+  config.probe_interval = Duration::zero();  // prober off: only request traffic binds
+  FleetFixture fix(std::move(config));
+  proxy::ProxyCluster& cluster = fix.cluster();
+  scion::ScionStack& stack = fix.world->topology().scion_stack(fix.world->client);
+  const std::size_t idle_sockets = stack.bound_sockets();
+  const std::string owner = cluster.owner_of("scion-fs.local");
+
+  int answered = 0;
+  int ok = 0;
+  for (int i = 0; i < 4; ++i) {
+    http::HttpRequest request;
+    request.method = "GET";
+    request.target = "http://scion-fs.local/";
+    proxy::ProxyRequestOptions options;
+    options.deadline = fix.sim().now() + seconds(2);
+    cluster.fetch(std::move(request), options, [&](proxy::ProxyResult result) {
+      ++answered;
+      if (result.response.status == 200) ++ok;
+    });
+  }
+  // Run until the owner dialed its pooled SCION connection.
+  fix.sim().run_until_condition([&] { return stack.bound_sockets() > idle_sockets; },
+                                fix.sim().now() + seconds(1));
+  ASSERT_GT(stack.bound_sockets(), idle_sockets);
+  ASSERT_EQ(answered, 0);
+
+  cluster.crash_replica(owner);
+  EXPECT_EQ(stack.bound_sockets(), idle_sockets);
+  fix.sim().run_until_condition([&] { return answered == 4; }, fix.sim().now() + seconds(3));
+  EXPECT_EQ(ok, 4);
+  EXPECT_GE(cluster.stats().failovers, 4u);
+}
+
+TEST(Fleet, CrashInsideColdPathLookup) {
+  // The owner crashes after DNS, while its path lookups are still pending at
+  // the shared daemon: those lookups die with the destroyed proxy, and the
+  // requests fail over to a live replica.
+  auto world = make_remote_world();
+  world->site("www.far.example")->add_text("/", "far page");
+  FleetSession session(*world);
+  proxy::ProxyCluster& cluster = session.cluster();
+  scion::Daemon& daemon = world->topology().daemon_for(world->client);
+  daemon.flush_cache();  // the next path lookup is a cold one
+  const std::uint64_t misses = daemon.cache_misses();
+  const std::string owner = cluster.owner_of("www.far.example");
+  int answered = 0;
+  int ok = 0;
+  for (int i = 0; i < 3; ++i) {
+    http::HttpRequest request;
+    request.method = "GET";
+    request.target = "http://www.far.example/";
+    cluster.fetch(std::move(request), {}, [&](proxy::ProxyResult result) {
+      ++answered;
+      if (result.response.status == 200) ++ok;
+    });
+  }
+  ASSERT_TRUE(world->sim().run_until_condition(
+      [&] { return daemon.cache_misses() > misses; }, world->sim().now() + seconds(1)));
+  cluster.crash_replica(owner);
+  world->sim().run_for(seconds(10));
+  EXPECT_EQ(answered, 3);
+  EXPECT_EQ(ok, 3);
+}
+
+TEST(Fleet, ClusterTeardownMidFlight) {
+  FleetFixture fix;
+  int answered = 0;
+  for (const char* url : {"http://scion-fs.local/", "http://tcpip-fs.local/"}) {
+    http::HttpRequest request;
+    request.method = "GET";
+    request.target = url;
+    fix.cluster().fetch(std::move(request), {}, [&](proxy::ProxyResult) { ++answered; });
+  }
+  fix.sim().run_for(milliseconds(2));
+  fix.session.reset();
+  fix.sim().run_for(seconds(60));
+  EXPECT_EQ(answered, 0);
+}
+
 }  // namespace
 }  // namespace pan::browser

@@ -419,5 +419,31 @@ TEST(EndToEndTest, OutOfOrderHandlersRespondInOrder) {
   EXPECT_EQ(bodies[1], "/fast");
 }
 
+TEST(EndToEndTest, ScionHttpConnectionTeardownMidFlight) {
+  // Destroy the connection while a finished exchange's erasure is still
+  // queued and a second exchange is in flight, then keep running.
+  auto world = browser::make_local_world();
+  world->site("scion-fs.local")->add_blob("/file", 10'000);
+  auto& topo = world->topology();
+  auto conn = std::make_unique<ScionHttpConnection>(
+      topo.scion_stack(world->client),
+      scion::ScionEndpoint{topo.scion_addr(topo.host_by_name("scion-fs")), 80},
+      scion::DataplanePath{});
+  int done = 0;
+  const auto fetch = [&] {
+    HttpRequest req;
+    req.target = "/file";
+    req.headers.set("Host", "scion-fs.local");
+    conn->fetch(req, [&](Result<HttpResponse>) { ++done; });
+  };
+  fetch();
+  world->sim().run_until_condition([&] { return done == 1; }, TimePoint{seconds(10).nanos()});
+  ASSERT_EQ(done, 1);
+  fetch();
+  conn.reset();
+  world->sim().run_for(seconds(40));
+  EXPECT_EQ(done, 1);
+}
+
 }  // namespace
 }  // namespace pan::http

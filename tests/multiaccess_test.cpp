@@ -570,5 +570,20 @@ TEST(MultipathIntent, IntentPicksChannelByPathLatency) {
   EXPECT_EQ(stats[1].requests, 1u);  // background rode the slow path
 }
 
+TEST(MultiAccessHost, TeardownStopsTheProbeLoop) {
+  auto world = make_remote_world(multi_access_config());
+  const std::size_t before = world->sim().pending_events();
+  auto bundle = std::make_unique<net::MultiAccessHost>(world->sim());
+  auto& topo = world->topology();
+  bundle->add_access("wired", topo.host(world->client));
+  bundle->add_access("lte", topo.host(*world->client_lte));
+  bundle->start_probes();
+  world->sim().run_for(milliseconds(500));
+  bundle.reset();
+  // Probes still on the wire land on closed sockets; nothing re-arms.
+  world->sim().run_for(seconds(1));
+  EXPECT_EQ(world->sim().pending_events(), before);
+}
+
 }  // namespace
 }  // namespace pan::proxy

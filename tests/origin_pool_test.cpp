@@ -842,5 +842,62 @@ TEST(OriginPoolTest, RetireClosesPooledConnectionsAndRedials) {
   EXPECT_EQ(fx.metrics.counter("pool.t.misses").value(), 2u);  // fresh dial
 }
 
+TEST(OriginPoolTest, IdleChecksDoNotPileUpAcrossReuse) {
+  // Every completed fetch re-arms the idle check; the previous one is
+  // cancelled, so one connection carries at most one pending check.
+  PoolFixture fx;
+  fx.world->site("tcpip-fs.local")->add_text("/a", "A");
+  http::OriginPoolConfig cfg;
+  cfg.name = "t";
+  cfg.idle_ttl = seconds(60);
+  http::OriginPool pool(fx.world->sim(), fx.metrics, cfg);
+  const auto fetch_once = [&] {
+    bool done = false;
+    pool.submit("tcpip-fs.local", fx.request("/a"),
+                [&](Result<http::HttpResponse> r) {
+                  EXPECT_TRUE(r.ok());
+                  done = true;
+                },
+                fx.legacy_factory());
+    fx.world->sim().run_until_condition([&] { return done; },
+                                        fx.world->sim().now() + seconds(10));
+    fx.world->sim().run_for(milliseconds(50));
+  };
+  fetch_once();
+  const std::size_t settled = fx.world->sim().pending_events();
+  for (int i = 0; i < 20; ++i) fetch_once();
+  EXPECT_EQ(fx.world->sim().pending_events(), settled);
+  EXPECT_EQ(fx.metrics.counter("pool.t.hits").value(), 20u);
+}
+
+TEST(OriginPoolTest, TeardownMidFlightCancelsPoolEvents) {
+  // Destroy the pool with an idle check armed, one fetch in flight and two
+  // waiters parked on queue timeouts, then keep the simulator running: no
+  // event or callback may reach the dead pool.
+  PoolFixture fx;
+  fx.add_slow_site(milliseconds(500));
+  fx.world->site("tcpip-fs.local")->add_text("/a", "A");
+  http::OriginPoolConfig cfg;
+  cfg.name = "t";
+  cfg.max_conns_per_origin = 1;
+  cfg.idle_ttl = seconds(60);
+  cfg.queue_timeout = seconds(5);
+  auto pool = std::make_unique<http::OriginPool>(fx.world->sim(), fx.metrics, cfg);
+  int answered = 0;
+  pool->submit("tcpip-fs.local", fx.request("/a"),
+               [&](Result<http::HttpResponse>) { ++answered; }, fx.legacy_factory());
+  fx.world->sim().run_until_condition([&] { return answered == 1; },
+                                      fx.world->sim().now() + seconds(10));
+  for (int i = 0; i < 3; ++i) {
+    pool->submit("slow.local", fx.request("/x", "slow.local"),
+                 [&](Result<http::HttpResponse>) { ++answered; }, fx.legacy_factory(8088));
+  }
+  fx.world->sim().run_for(milliseconds(100));
+  ASSERT_EQ(pool->snapshot().size(), 2u);
+  pool.reset();
+  fx.world->sim().run_for(seconds(120));
+  EXPECT_EQ(answered, 1);
+}
+
 }  // namespace
 }  // namespace pan

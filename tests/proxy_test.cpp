@@ -707,5 +707,61 @@ TEST(SkipProxyTest, LearnsStrictScionPinsIntoDetector) {
   EXPECT_EQ(proxy.detector().learned_size(), 1u);
 }
 
+TEST(SkipProxyTeardown, MidFlightRequestsDieWithTheProxy) {
+  // Requests in DNS, handshake and fetch, plus a finished one's pooled
+  // connection: destroying the proxy (then its resolver) mid-run must leave
+  // nothing that calls back into either.
+  auto world = make_remote_world();
+  auto& topo = world->topology();
+  auto resolver = std::make_unique<dns::Resolver>(world->sim(), world->zone());
+  auto proxy = std::make_unique<SkipProxy>(world->sim(), topo.host(world->client),
+                                           topo.scion_stack(world->client),
+                                           topo.daemon_for(world->client), *resolver);
+  int answered = 0;
+  const auto fetch = [&](const std::string& url) {
+    http::HttpRequest request;
+    request.method = "GET";
+    request.target = url;
+    proxy->fetch(std::move(request), {}, [&](ProxyResult) { ++answered; });
+  };
+  fetch("http://www.near.example/");
+  world->sim().run_until_condition([&] { return answered == 1; },
+                                   world->sim().now() + seconds(10));
+  ASSERT_EQ(answered, 1);
+  fetch("http://www.far.example/");
+  world->sim().run_for(milliseconds(30));
+  fetch("http://static.far.example/");
+  fetch("http://www.near.example/");
+  world->sim().run_for(milliseconds(2));
+  proxy.reset();
+  resolver.reset();
+  world->sim().run_for(seconds(90));
+  EXPECT_EQ(answered, 1);
+}
+
+TEST(SkipProxyTeardown, DestroyedInsideColdPathLookup) {
+  // DNS answered, the daemon lookup (a cold cache: one lookup latency) is
+  // pending: the lookup's completion must die with the proxy.
+  auto world = make_remote_world();
+  auto& topo = world->topology();
+  scion::Daemon& daemon = topo.daemon_for(world->client);
+  auto resolver = std::make_unique<dns::Resolver>(world->sim(), world->zone());
+  auto proxy = std::make_unique<SkipProxy>(world->sim(), topo.host(world->client),
+                                           topo.scion_stack(world->client), daemon, *resolver);
+  int answered = 0;
+  http::HttpRequest request;
+  request.method = "GET";
+  request.target = "http://www.far.example/";
+  proxy->fetch(std::move(request), {}, [&](ProxyResult) { ++answered; });
+  ASSERT_TRUE(world->sim().run_until_condition([&] { return daemon.cache_misses() > 0; },
+                                               world->sim().now() + seconds(1)));
+  const std::size_t pending = world->sim().pending_events();
+  proxy.reset();
+  resolver.reset();
+  EXPECT_LT(world->sim().pending_events(), pending);
+  world->sim().run_for(seconds(90));
+  EXPECT_EQ(answered, 0);
+}
+
 }  // namespace
 }  // namespace pan::proxy

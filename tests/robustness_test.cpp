@@ -682,5 +682,21 @@ TEST(SurgeVerb, FaultPlanDrivesLoadGeneratorThroughProxy) {
   EXPECT_EQ(surge.in_flight(), 0u);
 }
 
+TEST(SurgeVerb, LoadGeneratorTeardownMidSurge) {
+  OverloadHarness h(/*shedding=*/true, {}, /*remote=*/true);
+  h.world->site("www.near.example")->add_text("/", "near home");
+  auto surge = std::make_unique<browser::SurgeLoad>(*h.world, *h.skip);
+  ASSERT_TRUE(
+      h.world->schedule_chaos("at=10ms dur=1s surge www.near.example rate=50 conc=8")
+          .ok());
+  h.world->sim().run_until(h.world->sim().now() + milliseconds(300));
+  ASSERT_GT(surge->stats().launched, 0u);
+  ASSERT_GT(surge->in_flight(), 0u);
+  // The tick loop dies with the generator; fetches it left in flight answer
+  // into its token.
+  surge.reset();
+  h.world->sim().run_until(h.world->sim().now() + seconds(8));
+}
+
 }  // namespace
 }  // namespace pan

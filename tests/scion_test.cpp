@@ -312,9 +312,10 @@ TEST(DaemonTest, LocalPathForOwnAs) {
 TEST(DaemonTest, AsyncQueryCachesAndCostsLatency) {
   Fixture fx;
   Daemon& daemon = fx.topo->daemon(fx.ia("a"));
+  sim::Scope scope(fx.sim);
   bool first_done = false;
   const TimePoint t0 = fx.sim.now();
-  daemon.query(fx.ia("d"), [&](std::vector<Path> paths) {
+  daemon.query(fx.ia("d"), scope, [&](std::vector<Path> paths) {
     EXPECT_FALSE(paths.empty());
     first_done = true;
     EXPECT_EQ((fx.sim.now() - t0).nanos(), fx.config.daemon.lookup_latency.nanos());
@@ -325,7 +326,7 @@ TEST(DaemonTest, AsyncQueryCachesAndCostsLatency) {
 
   bool second_done = false;
   const TimePoint t1 = fx.sim.now();
-  daemon.query(fx.ia("d"), [&](std::vector<Path>) {
+  daemon.query(fx.ia("d"), scope, [&](std::vector<Path>) {
     second_done = true;
     EXPECT_EQ(fx.sim.now(), t1);  // cache hit: same event
   });

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
@@ -216,45 +218,109 @@ TEST(SimulatorTest, CancelRemovesEventsInAnyHeapPosition) {
 }
 
 TEST(SimulatorTest, RandomScheduleCancelMatchesOrderedModel) {
-  // Differential check of the indexed heap: random schedules (ties
-  // included), cancels of live, fired and stale ids, and partial runs must
-  // fire exactly what an ordered (when, seq) model predicts, in its order.
+  // Differential check of the indexed heap and of owner scopes: random
+  // schedules (ties included, direct or through a scope), cancels of live,
+  // fired and stale ids, scope teardown (from outside and from inside one of
+  // the scope's own events) and partial runs must fire exactly what an
+  // ordered (when, seq) model predicts, in its order.
   Simulator sim;
   Rng rng(42);
-  std::map<std::pair<std::int64_t, int>, int> model;  // (when, seq) -> tag
+  constexpr int kDirect = -1;
+  std::map<std::pair<std::int64_t, int>, int> model;  // (when, seq) -> scope index
   std::map<int, std::pair<EventId, std::pair<std::int64_t, int>>> issued;
-  std::vector<int> fired;
-  std::vector<int> expected;
+  std::vector<std::unique_ptr<Scope>> scopes;
   std::size_t peak_live = 0;
+  std::size_t fired = 0;
   int seq = 0;
+
+  const auto live_scope = [&]() -> int {
+    std::vector<int> live;
+    for (std::size_t i = 0; i < scopes.size(); ++i) {
+      if (scopes[i] != nullptr) live.push_back(static_cast<int>(i));
+    }
+    if (live.empty() || rng.next_below(3) == 0) return kDirect;
+    return live[rng.next_below(live.size())];
+  };
+  const auto destroy_scope = [&](int index) {
+    std::erase_if(model, [index](const auto& entry) { return entry.second == index; });
+    scopes[static_cast<std::size_t>(index)].reset();
+    EXPECT_EQ(sim.pending_events(), model.size());  // exactly its own went
+  };
+  std::function<void(TimePoint, int)> schedule;
+  const auto on_fire = [&](int tag, int scope) {
+    // Each firing is the model's earliest live event, at its own time.
+    ASSERT_FALSE(model.empty()) << "tag " << tag;
+    ASSERT_EQ(model.begin()->first.second, tag);
+    ASSERT_EQ(model.begin()->first.first, sim.now().nanos());
+    model.erase(model.begin());
+    ++fired;
+    if (scope == kDirect || scopes[static_cast<std::size_t>(scope)] == nullptr) return;
+    const std::uint64_t action = rng.next_below(8);
+    if (action == 0) {
+      destroy_scope(scope);  // from inside one of its own events
+    } else if (action < 3) {
+      // Past any round's horizon, so it never fires in the current round.
+      schedule(sim.now() + microseconds(31 + static_cast<std::int64_t>(rng.next_below(40))),
+               scope);
+    }
+  };
+  schedule = [&](TimePoint at, int scope) {
+    const int tag = seq++;
+    auto fn = [&on_fire, tag, scope] { on_fire(tag, scope); };
+    const EventId id = scope == kDirect
+                           ? sim.schedule_at(at, fn)
+                           : scopes[static_cast<std::size_t>(scope)]->schedule_at(at, fn);
+    model[{at.nanos(), tag}] = scope;
+    issued[tag] = {id, {at.nanos(), tag}};
+    peak_live = std::max(peak_live, model.size());
+  };
+
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < 40; ++i) {
-      const std::uint64_t op = rng.next_below(10);
+      const std::uint64_t op = rng.next_below(12);
       if (op < 6) {
-        const auto at = sim.now() + microseconds(static_cast<std::int64_t>(rng.next_below(50)));
-        const int tag = seq++;
-        const EventId id = sim.schedule_at(at, [&fired, tag] { fired.push_back(tag); });
-        model[{at.nanos(), tag}] = tag;
-        issued[tag] = {id, {at.nanos(), tag}};
-        peak_live = std::max(peak_live, model.size());
-      } else if (!issued.empty()) {
+        schedule(sim.now() + microseconds(static_cast<std::int64_t>(rng.next_below(50))),
+                 live_scope());
+      } else if (op < 9) {
+        if (issued.empty()) continue;
         auto it = issued.begin();
         std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(issued.size())));
         const bool live = model.erase(it->second.second) > 0;
         EXPECT_EQ(sim.cancel(it->second.first), live);
         if (!live || rng.next_below(2) == 0) issued.erase(it);  // keep some stale ids
+      } else if (op == 9) {
+        scopes.push_back(std::make_unique<Scope>(sim));
+      } else if (op == 10) {
+        const int index = live_scope();
+        if (index != kDirect) destroy_scope(index);
+      } else {
+        // A short-lived scope leaves the queue exactly as it found it.
+        const std::size_t before = sim.pending_events();
+        {
+          Scope transient(sim);
+          const std::size_t n = 1 + rng.next_below(4);
+          for (std::size_t k = 0; k < n; ++k) {
+            transient.schedule_after(microseconds(static_cast<std::int64_t>(rng.next_below(50))),
+                                     [] { FAIL() << "transient scope event fired"; });
+          }
+          EXPECT_EQ(sim.pending_events(), before + n);
+          peak_live = std::max(peak_live, before + n);
+        }
+        EXPECT_EQ(sim.pending_events(), before);
       }
     }
     EXPECT_EQ(sim.pending_events(), model.size());
     const TimePoint until = sim.now() + microseconds(static_cast<std::int64_t>(rng.next_below(30)));
-    while (!model.empty() && model.begin()->first.first <= until.nanos()) {
-      expected.push_back(model.begin()->second);
-      model.erase(model.begin());
-    }
     sim.run_until(until);
-    ASSERT_EQ(fired, expected) << "round " << round;
+    ASSERT_TRUE(model.empty() || model.begin()->first.first > until.nanos()) << "round " << round;
+    EXPECT_EQ(sim.pending_events(), model.size());
   }
+  EXPECT_GT(fired, 1000u);
   EXPECT_EQ(sim.event_slots(), peak_live);
+  scopes.clear();
+  std::size_t direct = 0;
+  for (const auto& [key, scope] : model) direct += scope == kDirect ? 1 : 0;
+  EXPECT_EQ(sim.pending_events(), direct);
 }
 
 TEST(SimulatorTest, LoggerClockUnhookedWhenSimulatorDies) {
