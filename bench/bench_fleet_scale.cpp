@@ -7,7 +7,8 @@
 // loaded origin:
 //
 //   at=2s dur=1s   replica-crash    (process dies, later revives warm)
-//   at=4s dur=500ms replica-hang    (answers vanish; probes + hedges rescue)
+//   at=4s dur=500ms replica-hang    (answers vanish; measured-latency hedges
+//                                    and overdue routing rescue)
 //   at=6s          replica-restart  (one-shot bounce)
 //
 // Guarantees checked on every arm, fleet-shed 503s included:
@@ -391,9 +392,11 @@ int main(int argc, char** argv) {
       pass = false;
     }
     // Fixed p99.9 regression bound: a successful request costs at most one
-    // failover_timeout hedge plus generous fetch slack. Today's numbers are
-    // ~401 ms (N>=4, the hedged hang window) and ~5 ms (N=1, no hedging).
-    const double p999_bound_ms = run.replicas >= 4 ? 500.0 : 100.0;
+    // hedge at the origin's measured answer time plus generous fetch slack.
+    // Today's numbers are ~3.3 ms (N>=4: the hang window is hedged at a few
+    // ms and the overdue owner gets no new work) and ~5 ms (N=1, no
+    // hedging). A fixed 400 ms failover_timeout hedge would read ~401 ms.
+    const double p999_bound_ms = run.replicas >= 4 ? 50.0 : 100.0;
     if (run.p999_ms > p999_bound_ms) {
       std::fprintf(stderr, "FAIL N=%zu: p99.9 %.2f ms over the %.0f ms bound\n",
                    run.replicas, run.p999_ms, p999_bound_ms);

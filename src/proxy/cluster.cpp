@@ -86,6 +86,7 @@ void ProxyCluster::build_replica(std::size_t index) {
   rep.proxy = std::make_unique<SkipProxy>(scope_.simulator(), host_, stack_, daemon_,
                                           *rep.resolver, proxy_config);
   rep.hung = false;
+  rep.overdue = false;
   rep.probe_misses = 0;
   rep.error_ewma = 0.0;
   rep.proxy->detector().set_learn_hook(
@@ -134,13 +135,18 @@ int ProxyCluster::route(const std::string& origin_key,
   const std::uint64_t h = ring_hash(origin_key);
   auto it = std::lower_bound(ring_.begin(), ring_.end(),
                              std::make_pair(h, std::size_t{0}));
+  // An overdue replica gets new work only when no punctual one accepts it:
+  // with every candidate overdue, routing falls back to plain ring order.
+  int fallback = -1;
   for (std::size_t step = 0; step < ring_.size(); ++step, ++it) {
     if (it == ring_.end()) it = ring_.begin();
     const std::size_t index = it->second;
     if (std::find(tried.begin(), tried.end(), index) != tried.end()) continue;
-    if (accepts(replicas_[index], origin_key)) return static_cast<int>(index);
+    if (!accepts(replicas_[index], origin_key)) continue;
+    if (!replicas_[index].overdue) return static_cast<int>(index);
+    if (fallback < 0) fallback = static_cast<int>(index);
   }
-  return -1;
+  return fallback;
 }
 
 std::string ProxyCluster::origin_key_of(const http::HttpRequest& request) const {
@@ -154,6 +160,12 @@ std::string ProxyCluster::origin_key_of(const http::HttpRequest& request) const 
 std::string ProxyCluster::owner_of(const std::string& origin_key) {
   const int index = route(origin_key, {});
   return index < 0 ? std::string{} : replicas_[static_cast<std::size_t>(index)].name;
+}
+
+Duration ProxyCluster::hedge_delay(const std::string& origin_key) const {
+  const auto it = answer_rtt_.find(origin_key);
+  return it == answer_rtt_.end() ? config_.failover_timeout
+                                 : it->second.timeout(config_.failover_timeout);
 }
 
 // --- the request path ------------------------------------------------------
@@ -192,9 +204,14 @@ void ProxyCluster::fetch(http::HttpRequest request, ProxyRequestOptions options,
 
 void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index) {
   Replica& rep = replicas_[replica_index];
+  ProxyRequestOptions options = pending->options;
+  if (!pending->tried.empty()) {
+    // A hedged retry must not re-enter the original request's trace: the
+    // replica mints a fresh one.
+    options.trace = nullptr;
+  }
   pending->replica_index = replica_index;
   pending->tried.push_back(replica_index);
-  ++pending->attempt;
   ++rep.dispatched;
 
   // Ownership accounting: the first dispatch of an origin to a different
@@ -209,21 +226,21 @@ void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index
     owner->second = replica_index;
   }
 
-  ProxyRequestOptions options = pending->options;
-  if (pending->attempt > 1) {
-    // A hedged retry must not re-enter the original request's trace: the
-    // replica mints a fresh one.
-    options.trace = nullptr;
-  }
   rep.proxy->fetch(
-      pending->request, std::move(options), [this, pending, replica_index](ProxyResult result) {
+      pending->request, std::move(options),
+      [this, pending, replica_index, sent_at = scope_.now()](ProxyResult result) {
         Replica& from = replicas_[replica_index];
         // A crashed replica's answers died with its proxy; a wedged
         // replica's never make it out of the box.
         if (from.hung) return;
         ++from.answered;
+        from.overdue = false;  // it answers again, late or not
         const bool error = result.transport == TransportUsed::kError ||
                            result.response.status >= 500;
+        // Late answers count too (that is how a slow origin raises its own
+        // hedge delay); errors do not, as a fast failure says nothing about
+        // how long a good answer takes.
+        if (!error) answer_rtt_[pending->origin_key].on_sample(scope_.now() - sent_at);
         record_answer(replica_index, error);
         if (pending->done) return;  // a hedge already answered (first wins)
         deliver(pending, std::move(result));
@@ -233,12 +250,11 @@ void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index
 
 void ProxyCluster::arm_failover_timer(const PendingPtr& pending) {
   const TimePoint final_check = pending->deadline - config_.failover_margin;
-  TimePoint when = std::min(final_check, scope_.now() + config_.failover_timeout);
+  TimePoint when = std::min(final_check, scope_.now() + hedge_delay(pending->origin_key));
   if (when < scope_.now()) when = scope_.now();
-  const std::uint64_t attempt = pending->attempt;
-  scope_.schedule_at(when, [this, pending, attempt] {
-    if (pending->done) return;
-    if (pending->attempt != attempt) return;  // a newer attempt owns the timer
+  scope_.cancel(pending->failover_timer);
+  pending->failover_timer = scope_.schedule_at(when, [this, pending] {
+    replicas_[pending->replica_index].overdue = true;
     on_unanswered(pending, "timeout");
   });
 }
@@ -266,9 +282,8 @@ void ProxyCluster::on_unanswered(const PendingPtr& pending, const char* reason) 
   if (budget_left) {
     // Out of replicas (or failovers) but not out of time: the in-flight
     // attempt may still answer. Re-arm a last check at the final instant.
-    const std::uint64_t attempt = pending->attempt;
-    scope_.schedule_at(final_check, [this, pending, attempt] {
-      if (pending->done || pending->attempt != attempt) return;
+    scope_.cancel(pending->failover_timer);
+    pending->failover_timer = scope_.schedule_at(final_check, [this, pending] {
       shed(pending, "deadline exhausted at " + replicas_[pending->replica_index].name);
     });
     return;
@@ -294,6 +309,7 @@ void ProxyCluster::shed(const PendingPtr& pending, const std::string& why) {
 void ProxyCluster::deliver(const PendingPtr& pending, ProxyResult result) {
   if (pending->done) return;
   pending->done = true;
+  scope_.cancel(pending->failover_timer);
   pending_.erase(pending->id);
   if (pending->on_result) pending->on_result(std::move(result));
 }
@@ -539,7 +555,11 @@ void ProxyCluster::probe(std::size_t index) {
   options.deadline = scope_.now() + config_.probe_timeout;
   rep.proxy->fetch(std::move(ping), std::move(options),
                    [this, index, answered](ProxyResult result) {
-                     if (!replicas_[index].hung) *answered = result.response.status == 200;
+                     Replica& pinged = replicas_[index];
+                     if (pinged.hung) return;
+                     *answered = result.response.status == 200;
+                     // A good probe is an answer: an overdue replica rejoins.
+                     if (*answered) pinged.overdue = false;
                    });
 
   scope_.schedule_after(config_.probe_timeout, [this, index, generation, answered] {
@@ -653,6 +673,7 @@ std::string ProxyCluster::fleet_json() {
             ",\"generation\":" + std::to_string(rep.generation) +
             ",\"draining\":" + (rep.draining ? "true" : "false") +
             ",\"hung\":" + (rep.hung ? "true" : "false") +
+            ",\"overdue\":" + (rep.overdue ? "true" : "false") +
             ",\"probe_misses\":" + std::to_string(rep.probe_misses) +
             ",\"error_ewma\":" + strings::format("%.4f", rep.error_ewma) +
             ",\"dispatched\":" + std::to_string(rep.dispatched) +

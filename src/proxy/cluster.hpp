@@ -16,12 +16,18 @@
 //     replica's answers. Crashes (the replica-crash fault verb) drop a
 //     replica straight to down.
 //
-//   * Failover: an in-flight request unanswered after failover_timeout is
-//     hedged onto the next live replica on the ring, within the request's
-//     original deadline budget — never past it. When the budget (or the
-//     replica set) is exhausted the request sheds with 503 + Retry-After.
-//     Strict-mode origins fail closed exactly like the single-proxy
-//     pipeline: the cluster never downgrades a Strict-SCION pin to IP.
+//   * Failover: an in-flight request unanswered after its origin's hedge
+//     delay is hedged onto the next live replica on the ring, within the
+//     request's original deadline budget — never past it. The hedge delay is
+//     measured, not configured: an RFC 9002-style smoothed answer latency
+//     per origin (srtt + max(4*rttvar, 1ms)), capped at failover_timeout,
+//     which is also the delay before an origin's first answer. A replica
+//     whose attempt timed out is overdue: it takes no new requests while a
+//     live peer does, until it answers anything (a late answer, another
+//     request, a probe). When the budget (or the replica set) is exhausted
+//     the request sheds with 503 + Retry-After. Strict-mode origins fail
+//     closed exactly like the single-proxy pipeline: the cluster never
+//     downgrades a Strict-SCION pin to IP.
 //
 //   * Shared detection cache: every replica's ScionDetector learn() is
 //     broadcast (hook-free apply_learned) to its peers, withdrawals
@@ -56,6 +62,7 @@
 #include "dns/dns.hpp"
 #include "proxy/fleet_metrics.hpp"
 #include "proxy/skip_proxy.hpp"
+#include "util/rtt_estimator.hpp"
 
 namespace pan::proxy {
 
@@ -87,8 +94,10 @@ struct ClusterConfig {
   // --- failover ---
   /// Hedged re-dispatches per request after the first attempt.
   std::size_t max_failovers = 2;
-  /// How long an attempt may go unanswered before hedging to the next
-  /// replica (clamped so the last check still beats the deadline).
+  /// Cap on the measured hedge delay, and the delay itself until an origin
+  /// has its first successful answer: how long an attempt may go unanswered
+  /// before hedging to the next replica (clamped so the last check still
+  /// beats the deadline).
   Duration failover_timeout = milliseconds(400);
   /// Slack kept before the request deadline: the terminal 503 must win the
   /// race against the replica's own 504 deadline timer.
@@ -181,6 +190,10 @@ class ProxyCluster {
   /// The replica `origin_key` ("host" or "host:port") currently routes to
   /// (empty when no replica accepts it). Does not change ownership.
   [[nodiscard]] std::string owner_of(const std::string& origin_key);
+  /// How long a new attempt for `origin_key` may go unanswered before it is
+  /// hedged: the measured answer latency's timeout, capped at (and, before
+  /// the first answer, equal to) failover_timeout.
+  [[nodiscard]] Duration hedge_delay(const std::string& origin_key) const;
   /// The GET /skip/fleet payload.
   [[nodiscard]] std::string fleet_json();
   [[nodiscard]] FleetStats stats() const;
@@ -210,6 +223,9 @@ class ProxyCluster {
     ReplicaHealth health = ReplicaHealth::kHealthy;
     bool hung = false;
     bool draining = false;
+    /// An attempt on it timed out; cleared by any answer from it. Routing
+    /// passes an overdue replica over while another one accepts the work.
+    bool overdue = false;
     /// Bumped on crash and restart; cluster timers armed for an older
     /// generation (probe timeouts, drain completion) stand down.
     std::uint64_t generation = 0;
@@ -232,16 +248,18 @@ class ProxyCluster {
     std::string origin_key;
     std::size_t replica_index = 0;
     std::size_t failovers = 0;
-    /// Attempt sequence; stale failover timers check it and stand down.
-    std::uint64_t attempt = 0;
     std::vector<std::size_t> tried;
+    /// The one pending failover (or final-check) timer; every re-arm and
+    /// deliver() cancels it.
+    sim::EventId failover_timer = sim::kInvalidEventId;
     bool done = false;
   };
   using PendingPtr = std::shared_ptr<PendingRequest>;
 
   /// True when `rep` may take a *new* request for `origin_key`.
   [[nodiscard]] bool accepts(const Replica& rep, const std::string& origin_key) const;
-  /// Ring walk from hash(origin_key); skips `tried` indices. -1 = nobody.
+  /// Ring walk from hash(origin_key); skips `tried` indices and prefers
+  /// replicas that are not overdue. -1 = nobody.
   [[nodiscard]] int route(const std::string& origin_key,
                           const std::vector<std::size_t>& tried) const;
   [[nodiscard]] std::string origin_key_of(const http::HttpRequest& request) const;
@@ -296,6 +314,9 @@ class ProxyCluster {
   /// origin_key -> replica index of the last dispatch (handoff accounting
   /// and drain stickiness). std::map for deterministic /skip/fleet dumps.
   std::map<std::string, std::size_t> owners_;
+  /// origin_key -> smoothed latency of its successful answers, each timed
+  /// from its own attempt's dispatch. Drives the hedge delay.
+  std::map<std::string, RttEstimator> answer_rtt_;
 
   std::map<std::uint64_t, PendingPtr> pending_;
   std::uint64_t next_request_id_ = 1;

@@ -538,6 +538,8 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
   if (req->done) return;
   req->done = true;
   scope_.cancel(req->deadline_event);
+  scope_.cancel(req->attempt_timer);
+  scope_.cancel(req->retry_event);
   inflight_scion_.erase(req.get());
   if (req->admitted) {
     overload_.release();
@@ -985,7 +987,8 @@ bool SkipProxy::schedule_scion_retry(const ScionContextPtr& ctx, const RequestPt
   metrics_->counter("proxy.retries").inc();
   req->trace->begin("backoff");
   const std::uint64_t epoch = req->epoch;
-  scope_.schedule_after(backoff, [this, ctx, req, epoch] {
+  scope_.cancel(req->retry_event);
+  req->retry_event = scope_.schedule_after(backoff, [this, ctx, req, epoch] {
     if (req->done || req->epoch != epoch) return;
     req->trace->end("backoff");
     start_scion_attempt(ctx, req);
@@ -1224,8 +1227,10 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
              config_.attempt_timeout < remaining) {
     limit = config_.attempt_timeout;
   }
-  if (limit <= Duration::zero()) return;
-  scope_.schedule_after(limit, [this, ctx, req, path, my_epoch] {
+  scope_.cancel(req->attempt_timer);  // the previous attempt's, a no-op by now
+  // A synchronous pool failure may have finished the request already.
+  if (limit <= Duration::zero() || req->done) return;
+  req->attempt_timer = scope_.schedule_after(limit, [this, ctx, req, path, my_epoch] {
     if (req->done || req->epoch != my_epoch) return;
     metrics_->counter("proxy.attempt_timeouts").inc();
     ++req->epoch;  // invalidate the in-flight on_response

@@ -359,6 +359,10 @@ class SkipProxy {
     /// Absolute budget: the request finishes (one way or another) by then.
     TimePoint deadline;
     sim::EventId deadline_event = sim::kInvalidEventId;  ///< the 504 timer; finish() cancels it
+    /// The current SCION attempt's timer and the pending retry backoff.
+    /// Re-arming either cancels its predecessor; finish() cancels both.
+    sim::EventId attempt_timer = sim::kInvalidEventId;
+    sim::EventId retry_event = sim::kInvalidEventId;
     bool strict = false;
     /// Priority class (admission ladder + pool queue ordering).
     RequestPriority priority = RequestPriority::kSubresource;

@@ -126,8 +126,7 @@ Connection::Connection(sim::Simulator& sim, Conduit conduit, Role role, std::uin
       config_(std::move(config)),
       next_local_stream_(role == Role::kClient ? 0 : 1),
       peer_next_(role == Role::kClient ? 1 : 0),
-      srtt_(config_.initial_rtt),
-      rttvar_(config_.initial_rtt / 2),
+      rtt_(config_.initial_rtt),
       cwnd_(config_.initial_cwnd_packets * 1200),
       ssthresh_(SIZE_MAX),
       ack_timer_(sim, [this] { maybe_send_pure_ack(); }),
@@ -277,9 +276,7 @@ void Connection::on_path_migrated() {
   pto_count_ = 0;
   cwnd_ = config_.initial_cwnd_packets * 1200;
   ssthresh_ = SIZE_MAX;
-  have_rtt_sample_ = false;
-  srtt_ = config_.initial_rtt;
-  rttvar_ = config_.initial_rtt / 2;
+  rtt_.reset(config_.initial_rtt);
   loss_recovery_end_pn_ = next_pn_;
   retransmit_all_outstanding();
 }
@@ -382,16 +379,7 @@ void Connection::process_ack(const AckFrame& ack) {
   }
 
   if (newly_acked_largest) {
-    const Duration sample = sim_.now() - largest_sent_at;
-    if (!have_rtt_sample_) {
-      srtt_ = sample;
-      rttvar_ = sample / 2;
-      have_rtt_sample_ = true;
-    } else {
-      const Duration err = sample > srtt_ ? sample - srtt_ : srtt_ - sample;
-      rttvar_ = Duration{(3 * rttvar_.nanos() + err.nanos()) / 4};
-      srtt_ = Duration{(7 * srtt_.nanos() + sample.nanos()) / 8};
-    }
+    rtt_.on_sample(sim_.now() - largest_sent_at);
     pto_count_ = 0;
   }
 
@@ -521,7 +509,7 @@ void Connection::on_keep_alive() {
 }
 
 Duration Connection::pto_interval() const {
-  Duration base = srtt_ + Duration{4 * rttvar_.nanos()} + config_.max_ack_delay;
+  Duration base = rtt_.srtt() + Duration{4 * rtt_.rttvar().nanos()} + config_.max_ack_delay;
   for (std::uint32_t i = 0; i < pto_count_ && i < 8; ++i) base = base * 2;
   return base;
 }

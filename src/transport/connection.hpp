@@ -30,6 +30,7 @@
 #include "sim/timer.hpp"
 #include "transport/bytestream.hpp"
 #include "transport/frames.hpp"
+#include "util/rtt_estimator.hpp"
 
 namespace pan::transport {
 
@@ -159,7 +160,7 @@ class Connection {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] std::uint64_t conn_id() const { return conn_id_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] Duration smoothed_rtt() const { return srtt_; }
+  [[nodiscard]] Duration smoothed_rtt() const { return rtt_.srtt(); }
   /// When the client-side handshake started (start()) and completed
   /// (establish()); origin for connections that never reached the state.
   [[nodiscard]] TimePoint connect_started_at() const { return connect_started_at_; }
@@ -293,9 +294,7 @@ class Connection {
   std::uint32_t ack_eliciting_since_ack_ = 0;
 
   // RTT / congestion.
-  Duration srtt_;
-  Duration rttvar_;
-  bool have_rtt_sample_ = false;
+  RttEstimator rtt_;
   std::size_t cwnd_;
   std::size_t ssthresh_;
   std::uint64_t loss_recovery_end_pn_ = 0;

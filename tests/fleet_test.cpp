@@ -2,8 +2,10 @@
 // mid-flight), fail-closed shedding within the deadline budget, drain
 // stickiness + handoff, warm vs cold replica-restart, breaker state handoff,
 // /skip/fleet JSON robustness under hostile names, the 405 method gates,
-// retry-jitter divergence between replicas, learn-broadcast/invalidation, and
-// a randomized chaos interleaving property suite.
+// retry-jitter divergence between replicas, learn-broadcast/invalidation,
+// latency-driven hedging (measured hedge delay, overdue replicas, no hedge
+// storm when every replica is slow), and a randomized chaos interleaving
+// property suite.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +16,7 @@
 #include "core/scenarios.hpp"
 #include "proxy/cluster.hpp"
 #include "util/rng.hpp"
+#include "util/rtt_estimator.hpp"
 
 namespace pan::browser {
 namespace {
@@ -21,6 +24,27 @@ namespace {
 std::string body_of(const proxy::ProxyResult& result) {
   return std::string(reinterpret_cast<const char*>(result.response.body.data()),
                      result.response.body.size());
+}
+
+/// The "dispatched" count /skip/fleet reports for replica `name`.
+std::uint64_t dispatched_to(proxy::ProxyCluster& cluster, const std::string& name) {
+  const std::string json = cluster.fleet_json();
+  const std::size_t entry = json.find("\"" + name + "\":{");
+  const std::string key = "\"dispatched\":";
+  const std::size_t at = json.find(key, entry);
+  if (entry == std::string::npos || at == std::string::npos) return UINT64_MAX;
+  return std::stoull(json.substr(at + key.size()));
+}
+
+/// How many replicas /skip/fleet reports as overdue.
+std::size_t overdue_replicas(proxy::ProxyCluster& cluster) {
+  const std::string json = cluster.fleet_json();
+  std::size_t n = 0;
+  for (std::size_t at = json.find("\"overdue\":true"); at != std::string::npos;
+       at = json.find("\"overdue\":true", at + 1)) {
+    ++n;
+  }
+  return n;
 }
 
 struct FleetFixture {
@@ -59,6 +83,32 @@ struct FleetFixture {
     sim().run_until_condition([&] { return done; }, sim().now() + seconds(120));
     EXPECT_TRUE(done) << target;
     return out;
+  }
+
+  /// Fires one request without running the simulator; `done` flips when it
+  /// resolves.
+  void launch(const std::string& url, bool strict, TimePoint deadline, bool& done,
+              proxy::ProxyResult& out) {
+    http::HttpRequest request;
+    request.method = "GET";
+    request.target = url;
+    proxy::ProxyRequestOptions options;
+    options.strict = strict;
+    options.deadline = deadline;
+    cluster().fetch(std::move(request), options, [&done, &out](proxy::ProxyResult r) {
+      out = std::move(r);
+      done = true;
+    });
+  }
+
+  /// Strict warm-up fetches of scion-fs.local, each timed from the call (the
+  /// cluster dispatches synchronously), folded into `estimate`.
+  void warm_up(RttEstimator& estimate, int fetches = 8) {
+    for (int i = 0; i < fetches; ++i) {
+      const TimePoint sent = sim().now();
+      ASSERT_EQ(fetch("http://scion-fs.local/", /*strict=*/true).response.status, 200);
+      estimate.on_sample(sim().now() - sent);
+    }
   }
 
   /// Hosts a native-SCION site with no DNS footprint at all: reachable over
@@ -508,6 +558,143 @@ TEST(Fleet, RetryJitterStreamsDivergeAcrossReplicas) {
     db.push_back(b.jittered(milliseconds(40), 0.5));
   }
   EXPECT_NE(da, db);
+}
+
+TEST(Fleet, HangAfterWarmTrafficIsHedgedAtTheMeasuredAnswerTime) {
+  FleetFixture fix;
+  proxy::ProxyCluster& cluster = fix.cluster();
+  const Duration cap = cluster.config().failover_timeout;
+  // Nothing answered yet: the hedge waits the configured cap.
+  EXPECT_EQ(cluster.hedge_delay("scion-fs.local"), cap);
+
+  RttEstimator expected;
+  fix.warm_up(expected);
+  const Duration delay = cluster.hedge_delay("scion-fs.local");
+  EXPECT_EQ(delay, expected.srtt() + std::max(Duration{4 * expected.rttvar().nanos()},
+                                              RttEstimator::kGranularity));
+  EXPECT_LT(delay, cap / 20);
+
+  const std::string owner = cluster.owner_of("scion-fs.local");
+  cluster.set_replica_hung(owner, true);
+  const std::uint64_t failovers = cluster.stats().failovers;
+  const TimePoint start = fix.sim().now();
+  bool done = false;
+  proxy::ProxyResult result;
+  fix.launch("http://scion-fs.local/", /*strict=*/true, start + seconds(2), done, result);
+  // Not hedged a nanosecond early, and hedged right at the measured delay.
+  fix.sim().run_until(start + delay - nanoseconds(1));
+  EXPECT_EQ(cluster.stats().failovers, failovers);
+  fix.sim().run_until(start + delay);
+  EXPECT_EQ(cluster.stats().failovers, failovers + 1);
+
+  ASSERT_TRUE(fix.sim().run_until_condition([&] { return done; }, start + seconds(2)));
+  EXPECT_EQ(result.response.status, 200);
+  EXPECT_EQ(result.transport, proxy::TransportUsed::kScion);
+  EXPECT_LT(fix.sim().now() - start, cap / 4);
+}
+
+TEST(Fleet, OverdueReplicaTakesNoNewWorkUntilItAnswers) {
+  FleetFixture fix;
+  proxy::ProxyCluster& cluster = fix.cluster();
+  RttEstimator warm;
+  fix.warm_up(warm);
+  const std::string owner = cluster.owner_of("scion-fs.local");
+
+  cluster.set_replica_hung(owner, true);
+  EXPECT_EQ(fix.fetch("http://scion-fs.local/", /*strict=*/true).response.status, 200);
+  // One missed answer leaves the owner short of degraded, yet it is overdue:
+  // the ring passes it over for new requests.
+  EXPECT_EQ(cluster.replica_health(owner), proxy::ReplicaHealth::kHealthy);
+  EXPECT_EQ(overdue_replicas(cluster), 1u);
+  EXPECT_NE(cluster.owner_of("scion-fs.local"), owner);
+  const std::uint64_t owner_dispatched = dispatched_to(cluster, owner);
+  const std::uint64_t failovers = cluster.stats().failovers;
+  for (int i = 0; i < 6; ++i) {
+    const TimePoint start = fix.sim().now();
+    const proxy::ProxyResult result = fix.fetch("http://scion-fs.local/", /*strict=*/true);
+    EXPECT_EQ(result.response.status, 200);
+    EXPECT_EQ(result.transport, proxy::TransportUsed::kScion);
+    EXPECT_LT(fix.sim().now() - start, milliseconds(20));
+  }
+  EXPECT_EQ(dispatched_to(cluster, owner), owner_dispatched);
+  EXPECT_EQ(cluster.stats().failovers, failovers);
+
+  // Unwedged but silent since: still passed over...
+  cluster.set_replica_hung(owner, false);
+  EXPECT_NE(cluster.owner_of("scion-fs.local"), owner);
+  // ...until its next good probe, which hands the origin back.
+  const proxy::ClusterConfig& config = cluster.config();
+  ASSERT_TRUE(fix.sim().run_until_condition(
+      [&] { return cluster.owner_of("scion-fs.local") == owner; },
+      fix.sim().now() + config.probe_interval + config.probe_timeout));
+  EXPECT_EQ(overdue_replicas(cluster), 0u);
+  EXPECT_EQ(fix.fetch("http://scion-fs.local/", /*strict=*/true).response.status, 200);
+  EXPECT_EQ(dispatched_to(cluster, owner), owner_dispatched + 1);
+}
+
+TEST(Fleet, EquallySlowReplicasDoNotHedgeStorm) {
+  proxy::ClusterConfig config;
+  config.replicas = 2;
+  FleetFixture fix(std::move(config));
+  proxy::ProxyCluster& cluster = fix.cluster();
+  RttEstimator warm;
+  fix.warm_up(warm);
+  const std::string owner = cluster.owner_of("scion-fs.local");
+  const Duration delay = cluster.hedge_delay("scion-fs.local");
+  const std::size_t max_failovers = cluster.config().max_failovers;
+
+  // The origin's access link slows down: every replica is equally slow now,
+  // so a hedge cannot help and must not multiply the load.
+  const std::int64_t at_ms = fix.sim().now().nanos() / 1'000'000 + 1;
+  ASSERT_TRUE(fix.world
+                  ->schedule_chaos("at=" + std::to_string(at_ms) +
+                                   "ms access-degrade scion-fs extra-latency=40ms")
+                  .ok());
+  fix.sim().run_until(TimePoint::origin() + milliseconds(at_ms));
+  const std::uint64_t failovers_before = cluster.stats().failovers;
+
+  constexpr int kRequests = 12;
+  struct Outcome {
+    bool done = false;
+    proxy::ProxyResult result;
+    TimePoint deadline;
+    std::uint64_t failovers_at_launch = 0;
+  };
+  std::vector<Outcome> outcomes(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    Outcome& o = outcomes[static_cast<std::size_t>(i)];
+    const TimePoint start = fix.sim().now();
+    o.deadline = start + seconds(2);
+    o.failovers_at_launch = cluster.stats().failovers;
+    fix.launch("http://scion-fs.local/", /*strict=*/true, o.deadline, o.done, o.result);
+    if (i == 0) {
+      // Both attempts of the first request outlive the stale estimate and
+      // both replicas turn overdue: routing falls back to plain ring order.
+      fix.sim().run_until(start + delay * 2);
+      EXPECT_EQ(overdue_replicas(cluster), 2u);
+      EXPECT_EQ(cluster.owner_of("scion-fs.local"), owner);
+    }
+    fix.sim().run_until(start + milliseconds(150));
+  }
+  fix.sim().run_until(fix.sim().now() + seconds(3));
+
+  for (int i = 0; i < kRequests; ++i) {
+    const Outcome& o = outcomes[static_cast<std::size_t>(i)];
+    const std::uint64_t next = i + 1 < kRequests
+                                   ? outcomes[static_cast<std::size_t>(i) + 1].failovers_at_launch
+                                   : cluster.stats().failovers;
+    ASSERT_TRUE(o.done) << i;
+    EXPECT_EQ(o.result.response.status, 200) << i;
+    EXPECT_EQ(o.result.transport, proxy::TransportUsed::kScion) << i;
+    // Each request's hedges stay within its budget (requests are launched
+    // 150ms apart, each resolving in well under that).
+    EXPECT_LE(next - o.failovers_at_launch, max_failovers) << i;
+  }
+  // The first slow answers teach the estimator: hedging stops after them
+  // instead of doubling every request.
+  EXPECT_LE(cluster.stats().failovers - failovers_before, max_failovers);
+  EXPECT_EQ(overdue_replicas(cluster), 0u);
+  EXPECT_GE(cluster.hedge_delay("scion-fs.local"), milliseconds(40));
 }
 
 TEST(Fleet, RandomChaosInterleavingsKeepGuarantees) {

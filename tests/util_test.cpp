@@ -1,4 +1,5 @@
-// Unit tests for src/util: time types, RNG, strings, bytes, stats, Result.
+// Unit tests for src/util: time types, RNG, strings, bytes, stats, Result,
+// the RTT estimator.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -6,6 +7,7 @@
 #include "util/bytes.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
+#include "util/rtt_estimator.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/types.hpp"
@@ -375,6 +377,94 @@ TEST(StatusTest, DefaultIsOk) {
   Status bad = Err("boom");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.error(), "boom");
+}
+
+// ---------------------------------------------------------- rtt estimator --
+
+// The srtt/rttvar update transport::Connection inlined before it moved into
+// RttEstimator, kept verbatim as the reference the estimator must match bit
+// for bit.
+struct InlinedRtt {
+  Duration srtt;
+  Duration rttvar;
+  bool have_sample = false;
+
+  explicit InlinedRtt(Duration initial) : srtt(initial), rttvar(initial / 2) {}
+  void sample(Duration s) {
+    if (!have_sample) {
+      srtt = s;
+      rttvar = s / 2;
+      have_sample = true;
+    } else {
+      const Duration err = s > srtt ? s - srtt : srtt - s;
+      rttvar = Duration{(3 * rttvar.nanos() + err.nanos()) / 4};
+      srtt = Duration{(7 * srtt.nanos() + s.nanos()) / 8};
+    }
+  }
+};
+
+TEST(RttEstimatorTest, FirstSampleSeedsBothTerms) {
+  RttEstimator est(milliseconds(100));
+  EXPECT_FALSE(est.has_sample());
+  EXPECT_EQ(est.srtt(), milliseconds(100));
+  EXPECT_EQ(est.rttvar(), milliseconds(50));
+  est.on_sample(microseconds(1'001));
+  EXPECT_TRUE(est.has_sample());
+  EXPECT_EQ(est.srtt(), microseconds(1'001));
+  EXPECT_EQ(est.rttvar().nanos(), 500'500);
+}
+
+TEST(RttEstimatorTest, SteadyStateUsesEighthAndQuarterGains) {
+  RttEstimator est;
+  est.on_sample(milliseconds(8));
+  est.on_sample(milliseconds(16));
+  // err = 8ms: rttvar = (3 * 4ms + 8ms) / 4, srtt = (7 * 8ms + 16ms) / 8.
+  EXPECT_EQ(est.rttvar(), milliseconds(5));
+  EXPECT_EQ(est.srtt(), milliseconds(9));
+  // Integer nanoseconds truncate exactly like the inlined update did.
+  est.on_sample(nanoseconds(3));
+  EXPECT_EQ(est.rttvar().nanos(), (3 * 5'000'000 + (9'000'000 - 3)) / 4);
+  EXPECT_EQ(est.srtt().nanos(), (7 * 9'000'000 + 3) / 8);
+}
+
+TEST(RttEstimatorTest, MatchesTheInlinedTransportUpdateBitForBit) {
+  Rng rng(0x5177);
+  RttEstimator est(milliseconds(100));
+  InlinedRtt ref(milliseconds(100));
+  for (int i = 0; i < 2'000; ++i) {
+    if (i == 700) {  // a path migration resets mid-stream
+      est.reset(milliseconds(100));
+      ref = InlinedRtt(milliseconds(100));
+      EXPECT_FALSE(est.has_sample());
+      EXPECT_EQ(est.srtt(), ref.srtt);
+      EXPECT_EQ(est.rttvar(), ref.rttvar);
+    }
+    const Duration sample = nanoseconds(rng.next_in(1, 50'000'000));
+    est.on_sample(sample);
+    ref.sample(sample);
+    ASSERT_EQ(est.srtt(), ref.srtt) << i;
+    ASSERT_EQ(est.rttvar(), ref.rttvar) << i;
+  }
+}
+
+TEST(RttEstimatorTest, TimeoutIsCappedFlooredAndCapBeforeFirstSample) {
+  const Duration cap = milliseconds(400);
+  RttEstimator est;
+  // Nothing measured: the cap itself.
+  EXPECT_EQ(est.timeout(cap), cap);
+  // srtt + 4 * rttvar while that beats the floor.
+  est.on_sample(milliseconds(2));  // srtt 2ms, rttvar 1ms
+  EXPECT_EQ(est.timeout(cap), milliseconds(6));
+  // Identical samples shrink rttvar toward 0: the 1ms granularity floor.
+  for (int i = 0; i < 40; ++i) est.on_sample(milliseconds(2));
+  ASSERT_LT(Duration{4 * est.rttvar().nanos()}, RttEstimator::kGranularity);
+  EXPECT_EQ(est.timeout(cap), est.srtt() + RttEstimator::kGranularity);
+  // A slow origin never pushes the hedge past the cap.
+  est.on_sample(seconds(5));
+  EXPECT_EQ(est.timeout(cap), cap);
+  // Reset forgets the samples: back to the cap.
+  est.reset(Duration::zero());
+  EXPECT_EQ(est.timeout(cap), cap);
 }
 
 }  // namespace
