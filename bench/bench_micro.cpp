@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/layer_model.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/signature.hpp"
 #include "net/graph.hpp"
 #include "obs/metrics.hpp"
@@ -30,6 +31,9 @@ void BM_Sha256(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::sha256(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+  // Which compressor Sha256 dispatched to: 1 for the SHA-extensions kernel.
+  const bool hardware = crypto::sha256_kernels::selected() == crypto::sha256_kernels::hardware();
+  state.counters["hw_kernel"] = benchmark::Counter(hardware ? 1.0 : 0.0);
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
 

@@ -23,7 +23,10 @@
 #                                 # queued event, if a torn-down scope leaves
 #                                 # any or allocates per schedule, or if an
 #                                 # aged connection holds more than two live
-#                                 # streams
+#                                 # streams, or if SHA-256 does not run on the
+#                                 # SHA-extensions kernel exactly when
+#                                 # /proc/cpuinfo lists sha_ni (BM_Sha256's
+#                                 # hw_kernel counter)
 #   scripts/check.sh --fleet      # PAN_SANITIZE=ON build, then the proxy
 #                                 # fleet suite + bench_fleet_scale --smoke;
 #                                 # fails on any strict downgrade, deadline
@@ -117,7 +120,7 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   echo "==> bench-smoke: forwarding micro-benchmarks (zero-copy data plane)"
   run_suite build
   out="$(./build/bench/bench_micro \
-    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries|TimerRearm|ScopeTeardown|StreamAged' \
+    --benchmark_filter='ForwardHop|ScionHeaderViewParse|Histogram|TimeSeries|TimerRearm|ScopeTeardown|StreamAged|BM_Sha256' \
     --benchmark_min_time=0.1 \
     --benchmark_format=json)"
   echo "$out"
@@ -157,6 +160,20 @@ aged = runs["BM_StreamAged"]
 assert aged["live_streams"] <= 2, \
     f"{aged['iterations']} exchanges left {aged['live_streams']} live streams"
 print(f"BM_StreamAged: {aged['iterations']} exchanges, peak {aged['live_streams']:.0f} live streams")
+# Kernel dispatch: a build that falls back to the portable SHA-256 kernel on
+# a CPU with SHA extensions (or picks the hardware one without them) fails.
+try:
+    with open("/proc/cpuinfo") as cpuinfo:
+        sha_ni = any(line.startswith("flags") and "sha_ni" in line.split()
+                     for line in cpuinfo)
+except OSError:
+    sha_ni = False
+sha_runs = {name: run for name, run in runs.items() if name.startswith("BM_Sha256/")}
+assert sha_runs, "no BM_Sha256 runs in the bench output"
+for name, run in sha_runs.items():
+    assert run["hw_kernel"] == (1 if sha_ni else 0), \
+        f"{name}: hw_kernel={run['hw_kernel']} but cpuinfo sha_ni={sha_ni}"
+print(f"BM_Sha256: hw_kernel={int(sha_ni)}, matching cpuinfo sha_ni")
 EOF
   echo "==> bench-smoke passed"
   exit 0

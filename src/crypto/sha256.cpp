@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#include "crypto/sha256_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace pan::crypto {
 namespace {
 
@@ -22,7 +28,141 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+void compress_block(std::uint32_t* state, const std::uint8_t block[64]) {
+  std::uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
+           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
+           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
+           static_cast<std::uint32_t>(block[4 * i + 3]);
+  }
+  for (int i = 16; i < 64; ++i) {
+    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+  for (int i = 0; i < 64; ++i) {
+    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    const std::uint32_t ch = (e & f) ^ (~e & g);
+    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
+    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint32_t temp2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + temp1;
+    d = c;
+    c = b;
+    b = a;
+    a = temp1 + temp2;
+  }
+
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
 }  // namespace
+
+namespace sha256_kernels {
+
+void portable(std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) compress_block(state, data);
+}
+
+}  // namespace sha256_kernels
+
+namespace {
+
+#if defined(__x86_64__)
+// The same compression on the SHA extensions: sha256rnds2 runs two rounds on
+// the state held as ABEF/CDGH word pairs, sha256msg1/msg2 extend the message
+// schedule four words at a time. Loads and stores are unaligned.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(std::uint32_t* state,
+                                                          const std::uint8_t* data,
+                                                          std::size_t blocks) {
+  // Big-endian message words: reverse the bytes of each 32-bit lane.
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+  // Register names list the state words in the lanes from high to low.
+  const __m128i cdab =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g % 4] holds message words 4g..4g+3 while rounds 4g..4g+3 run.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& words = w[g % 4];
+      if (g < 4) {
+        words = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)), byte_swap);
+      } else {
+        const __m128i prev = w[(g + 3) % 4];  // words 4g-4..4g-1
+        words = _mm_sha256msg1_epu32(words, w[(g + 1) % 4]);
+        words = _mm_add_epi32(words, _mm_alignr_epi8(prev, w[(g + 2) % 4], 4));
+        words = _mm_sha256msg2_epu32(words, prev);
+      }
+      const __m128i k_plus_w = _mm_add_epi32(
+          words, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants.data() + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, k_plus_w);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(k_plus_w, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+sha256_kernels::Compress detect_hardware() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha")) return compress_sha_ni;
+#endif
+  return nullptr;
+}
+
+// Sha256 compresses through this pointer. It starts as the portable kernel,
+// so hashing from another file's static initialiser is correct too, and is
+// switched to the hardware kernel once, by kHardware's initialiser below.
+constinit sha256_kernels::Compress g_compress = sha256_kernels::portable;
+
+const sha256_kernels::Compress kHardware = [] {
+  const sha256_kernels::Compress hardware = detect_hardware();
+  if (hardware != nullptr) g_compress = hardware;
+  return hardware;
+}();
+
+}  // namespace
+
+namespace sha256_kernels {
+
+Compress hardware() { return kHardware; }
+
+Compress selected() { return g_compress; }
+
+}  // namespace sha256_kernels
 
 Sha256::Sha256() { reset(); }
 
@@ -42,13 +182,14 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffered_ += take;
     offset = take;
     if (buffered_ == 64) {
-      compress(buffer_.data());
+      g_compress(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    compress(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    g_compress(state_.data(), data.data() + offset, blocks);
+    offset += 64 * blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -81,50 +222,6 @@ Digest Sha256::finalize() {
     out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return out;
-}
-
-void Sha256::compress(const std::uint8_t block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[static_cast<std::size_t>(i)] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Digest sha256(std::span<const std::uint8_t> data) {

@@ -2,8 +2,13 @@
 //
 // Used for the SCION control-plane PKI substitute: beacon signatures, TRC
 // digests, and as the PRF underlying hop-field MACs (via HMAC). The
-// implementation is a straightforward streaming Merkle–Damgård compressor;
-// correctness is pinned by the FIPS test vectors in tests/crypto.
+// implementation is a straightforward streaming Merkle–Damgård compressor
+// over one of two block kernels (crypto/sha256_kernels.hpp): the portable
+// round-by-round loop, or the x86 SHA-extensions one. The kernel is chosen
+// once, at static initialisation, from what the CPU supports; both produce
+// identical states, so which one ran never shows in any output. Correctness
+// is pinned by the FIPS test vectors and a kernel-vs-kernel differential
+// test in tests/crypto_test.cpp.
 #pragma once
 
 #include <array>
@@ -33,8 +38,6 @@ class Sha256 {
   void reset();
 
  private:
-  void compress(const std::uint8_t block[64]);
-
   std::array<std::uint32_t, 8> state_{};
   std::uint64_t total_bytes_ = 0;
   std::array<std::uint8_t, 64> buffer_{};

@@ -1,6 +1,8 @@
 #include "http/file_server.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "crypto/sha256.hpp"
 
@@ -11,18 +13,27 @@ std::string etag_of(std::span<const std::uint8_t> body) {
 }
 
 Bytes generate_blob(std::size_t size, std::uint64_t seed_tag) {
-  Bytes out;
-  out.reserve(size);
+  Bytes out(size);
   // Repeating pattern keyed by the tag — cheap, deterministic, and content
-  // differs per resource so misrouted bodies are detectable.
+  // differs per resource so misrouted bodies are detectable. Each xorshift
+  // word lands little-endian (byte i is x >> 8*i): one 8-byte store per
+  // word, then the tail byte by byte.
   std::uint64_t x = seed_tag * 0x9e3779b97f4a7c15ULL + 0x1234567;
-  while (out.size() < size) {
+  const auto next = [&x] {
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    for (int i = 0; i < 8 && out.size() < size; ++i) {
-      out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-    }
+    return x;
+  };
+  std::size_t pos = 0;
+  for (; pos + 8 <= size; pos += 8) {
+    std::uint64_t word = next();
+    if constexpr (std::endian::native == std::endian::big) word = __builtin_bswap64(word);
+    std::memcpy(out.data() + pos, &word, 8);
+  }
+  if (pos < size) {
+    const std::uint64_t word = next();
+    for (int i = 0; pos < size; ++i, ++pos) out[pos] = static_cast<std::uint8_t>(word >> (8 * i));
   }
   return out;
 }

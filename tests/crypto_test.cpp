@@ -1,12 +1,17 @@
-// Unit tests for src/crypto: SHA-256 against FIPS 180-4 vectors, HMAC-SHA256
-// against RFC 4231 vectors, truncated MACs, and Lamport signatures.
+// Unit tests for src/crypto: SHA-256 against FIPS 180-4 vectors, the
+// portable and SHA-extensions compression kernels against the vectors and
+// each other, HMAC-SHA256 against RFC 4231 vectors, truncated MACs, and
+// Lamport signatures.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/signature.hpp"
+#include "util/rng.hpp"
 
 namespace pan::crypto {
 namespace {
@@ -67,6 +72,86 @@ TEST(Sha256Test, ResetReuses) {
   h.update("abc");
   EXPECT_EQ(hex_digest(h.finalize()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// ------------------------------------------------------------ kernels ---
+
+namespace kernels = sha256_kernels;
+
+constexpr std::uint32_t kInitialState[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// Hashes `message` with `kernel` alone: FIPS 180-4 padding done here, all
+/// blocks in one kernel call, digest words printed big-endian.
+std::string hex_via(kernels::Compress kernel, std::string_view message) {
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+
+  std::uint32_t state[8];
+  std::memcpy(state, kInitialState, sizeof(state));
+  kernel(state, padded.data(), padded.size() / 64);
+  Digest out{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return hex_digest(out);
+}
+
+void expect_fips_vectors(kernels::Compress kernel) {
+  EXPECT_EQ(hex_via(kernel, ""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex_via(kernel, "abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex_via(kernel, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex_via(kernel, std::string(1'000'000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256KernelTest, PortableKernelMatchesFipsVectors) {
+  expect_fips_vectors(kernels::portable);
+}
+
+TEST(Sha256KernelTest, HardwareKernelMatchesFipsVectors) {
+  if (kernels::hardware() == nullptr) {
+    GTEST_SKIP() << "no SHA-extensions kernel on this build or CPU; portable kernel only";
+  }
+  expect_fips_vectors(kernels::hardware());
+}
+
+TEST(Sha256KernelTest, HardwareKernelMatchesPortableOnRandomInputs) {
+  if (kernels::hardware() == nullptr) {
+    GTEST_SKIP() << "no SHA-extensions kernel on this build or CPU; portable kernel only";
+  }
+  // Random chaining states and blocks, runs of one to three blocks, and
+  // data at every offset mod 16 so the kernel's unaligned loads are covered.
+  Rng rng(20221114);
+  std::vector<std::uint8_t> buffer(16 + 3 * 64);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    std::uint32_t portable_state[8];
+    for (std::uint32_t& word : portable_state) word = static_cast<std::uint32_t>(rng.next_u64());
+    for (std::uint8_t& byte : buffer) byte = static_cast<std::uint8_t>(rng.next_u64());
+    const std::size_t offset = rng.next_below(16);
+    const std::size_t blocks = 1 + rng.next_below(3);
+
+    std::uint32_t hardware_state[8];
+    std::memcpy(hardware_state, portable_state, sizeof(portable_state));
+    kernels::portable(portable_state, buffer.data() + offset, blocks);
+    kernels::hardware()(hardware_state, buffer.data() + offset, blocks);
+    ASSERT_EQ(0, std::memcmp(portable_state, hardware_state, sizeof(portable_state)))
+        << "trial " << trial << ", " << blocks << " block(s) at offset " << offset;
+  }
+}
+
+TEST(Sha256KernelTest, SelectedKernelIsHardwareWhenPresent) {
+  const kernels::Compress expected =
+      kernels::hardware() != nullptr ? kernels::hardware() : kernels::portable;
+  EXPECT_EQ(kernels::selected(), expected);
 }
 
 // --------------------------------------------------------------- hmac ---
