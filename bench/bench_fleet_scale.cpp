@@ -395,7 +395,7 @@ int main(int argc, char** argv) {
     // hedge at the origin's measured answer time plus generous fetch slack.
     // Today's numbers are ~3.3 ms (N>=4: the hang window is hedged at a few
     // ms and the overdue owner gets no new work) and ~5 ms (N=1, no
-    // hedging). A fixed 400 ms failover_timeout hedge would read ~401 ms.
+    // hedging). A fixed 400 ms kFailoverTimeout hedge would read ~401 ms.
     const double p999_bound_ms = run.replicas >= 4 ? 50.0 : 100.0;
     if (run.p999_ms > p999_bound_ms) {
       std::fprintf(stderr, "FAIL N=%zu: p99.9 %.2f ms over the %.0f ms bound\n",

@@ -3,7 +3,13 @@
 # instrumented build + ctest. Run from the repo root:
 #
 #   scripts/check.sh              # both builds
-#   scripts/check.sh --fast       # plain build only
+#   scripts/check.sh --fast       # plain build only (plus the knob lint:
+#                                 # every config field needs a caller that
+#                                 # sets it, scripts/knob_lint.py)
+#   scripts/check.sh --golden     # plain build, then run the 15
+#                                 # deterministic bench binaries and diff
+#                                 # their stdout against scripts/golden/
+#                                 # (scripts/golden.sh writes them)
 #   scripts/check.sh --sanitize   # sanitized build only (CI matrix leg)
 #   scripts/check.sh --soak       # plain build, then loop the chaos + surge
 #                                 # suites until SOAK_BUDGET_S (default 120 s)
@@ -116,6 +122,20 @@ if [[ "${1:-}" == "--fleet" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "--golden" ]]; then
+  echo "==> golden: deterministic bench transcripts vs scripts/golden/"
+  # The simulator is deterministic, so any diff is a behaviour change. The
+  # transcripts change only together with a CHANGES.md note saying why.
+  cmake -B build -S .
+  cmake --build build -j
+  out_dir="$(mktemp -d)"
+  trap 'rm -rf "$out_dir"' EXIT
+  scripts/golden.sh build "$out_dir"
+  diff -ru scripts/golden "$out_dir"
+  echo "==> golden passed"
+  exit 0
+fi
+
 if [[ "${1:-}" == "--bench-smoke" ]]; then
   echo "==> bench-smoke: forwarding micro-benchmarks (zero-copy data plane)"
   run_suite build
@@ -223,6 +243,7 @@ fi
 if [[ "${1:-}" != "--sanitize" ]]; then
   echo "==> tier-1: plain build + ctest"
   run_suite build
+  python3 scripts/knob_lint.py
 fi
 
 if [[ "${1:-}" != "--fast" ]]; then

@@ -8,7 +8,22 @@ namespace pan::browser {
 
 namespace {
 constexpr std::string_view kLog = "browser";
+/// Document parse time before sub-resource fetches start.
+constexpr Duration kParseDelay = microseconds(500);
+/// Direct mode: max parallel legacy connections per origin, and how long a
+/// pooled connection may idle before it is evicted.
+constexpr std::size_t kMaxConnsPerOrigin = 6;
+constexpr Duration kPoolIdleTtl = seconds(60);
+
+http::OriginPoolConfig direct_pool_config() {
+  http::OriginPoolConfig pool;
+  pool.name = "browser.direct";
+  pool.max_conns_per_origin = kMaxConnsPerOrigin;
+  pool.max_outstanding_per_conn = 1;  // browser-like: no pipelining
+  pool.idle_ttl = kPoolIdleTtl;
+  return pool;
 }
+}  // namespace
 
 struct Browser::PageLoad {
   std::string url_text;
@@ -28,23 +43,11 @@ struct Browser::PageLoad {
   sim::EventId timeout_event = sim::kInvalidEventId;
 };
 
-http::OriginPoolConfig Browser::direct_pool_config(const BrowserConfig& config) {
-  http::OriginPoolConfig pool;
-  pool.name = "browser.direct";
-  pool.max_conns_per_origin = config.max_conns_per_origin;
-  pool.max_outstanding_per_conn = 1;  // browser-like: no pipelining
-  pool.idle_ttl = config.pool_idle_ttl;
-  return pool;
-}
-
 Browser::Browser(sim::Simulator& sim, BrowserExtension& extension, BrowserConfig config)
     : sim_(sim),
       config_(config),
       extension_(&extension),
-      owned_metrics_(config.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
-                                               : nullptr),
-      metrics_(config.metrics != nullptr ? config.metrics : owned_metrics_.get()),
-      direct_pool_(sim, *metrics_, direct_pool_config(config_)) {}
+      direct_pool_(sim, metrics_, direct_pool_config()) {}
 
 Browser::Browser(sim::Simulator& sim, net::Host& host, dns::Resolver& resolver,
                  BrowserConfig config)
@@ -52,10 +55,7 @@ Browser::Browser(sim::Simulator& sim, net::Host& host, dns::Resolver& resolver,
       config_(config),
       host_(&host),
       resolver_(&resolver),
-      owned_metrics_(config.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
-                                               : nullptr),
-      metrics_(config.metrics != nullptr ? config.metrics : owned_metrics_.get()),
-      direct_pool_(sim, *metrics_, direct_pool_config(config_)) {}
+      direct_pool_(sim, metrics_, direct_pool_config()) {}
 
 Browser::~Browser() = default;
 
@@ -164,7 +164,7 @@ void Browser::fetch_via_extension(const std::shared_ptr<PageLoad>& page, std::si
             ++page->remaining;
             page->queue.push_back(page->result.resources.size() - 1);
           }
-          sim_.schedule_after(config_.parse_delay, [this, page] { pump_queue(page); });
+          sim_.schedule_after(kParseDelay, [this, page] { pump_queue(page); });
         }
         resource_done(page, index);
       },
@@ -238,7 +238,7 @@ void Browser::fetch_direct(const std::shared_ptr<PageLoad>& page, std::size_t in
               ++page->remaining;
               page->queue.push_back(page->result.resources.size() - 1);
             }
-            sim_.schedule_after(config_.parse_delay, [this, page] { pump_queue(page); });
+            sim_.schedule_after(kParseDelay, [this, page] { pump_queue(page); });
           }
           resource_done(page, index);
         },
@@ -279,7 +279,7 @@ void Browser::cache_store(const std::string& url_text, std::string etag, Bytes b
     PAN_DEBUG(kLog) << "cache evicting " << victim;
     cache_.erase(victim);
     cache_lru_.pop_back();
-    metrics_->counter("browser.cache.evictions").inc();
+    metrics_.counter("browser.cache.evictions").inc();
   }
   cache_lru_.push_front(url_text);
   cache_.emplace(url_text,

@@ -30,20 +30,9 @@ struct BrowserConfig {
   bool enable_cache = false;
   /// Max sub-resource fetches in flight at once.
   std::size_t max_concurrent_fetches = 6;
-  /// Document parse time before sub-resource fetches start.
-  Duration parse_delay = microseconds(500);
-  /// Direct mode: max parallel legacy connections per origin.
-  std::size_t max_conns_per_origin = 6;
-  /// Direct mode: pooled connections idle longer than this are evicted
-  /// (zero = keep forever).
-  Duration pool_idle_ttl = seconds(60);
   /// Cache entry cap; the least-recently-used entry is evicted beyond it
   /// (`browser.cache.evictions` counts them).
   std::size_t cache_max_entries = 512;
-  /// Shared metrics registry for the browser's own instruments
-  /// (`browser.cache.*`, `pool.browser.direct.*`). When null the browser
-  /// owns a private one.
-  obs::MetricsRegistry* metrics = nullptr;
   Duration page_timeout = seconds(30);
   /// Per-resource deadline handed to the SKIP proxy as the budget for all
   /// retries and fallbacks on that request. Zero keeps the proxy's own
@@ -112,7 +101,9 @@ class Browser {
   [[nodiscard]] const std::string& identity() const { return config_.identity; }
   void set_identity(std::string identity) { config_.identity = std::move(identity); }
 
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
+  /// The browser's own instruments (`browser.cache.*`,
+  /// `pool.browser.direct.*`).
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   /// Direct-mode connection pool (introspection for tests).
   [[nodiscard]] http::OriginPool& direct_pool() { return direct_pool_; }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
@@ -133,7 +124,6 @@ class Browser {
   void resource_done(const std::shared_ptr<PageLoad>& page, std::size_t index);
   void pump_queue(const std::shared_ptr<PageLoad>& page);
   void settle(const std::shared_ptr<PageLoad>& page);
-  [[nodiscard]] static http::OriginPoolConfig direct_pool_config(const BrowserConfig& config);
 
   struct CacheEntry {
     std::string etag;
@@ -160,8 +150,7 @@ class Browser {
   BrowserExtension* extension_ = nullptr;  // null in direct mode
   net::Host* host_ = nullptr;              // direct mode
   dns::Resolver* resolver_ = nullptr;      // direct mode
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;  // set before direct_pool_
+  obs::MetricsRegistry metrics_;  // before direct_pool_
   http::OriginPool direct_pool_;
   std::unordered_map<std::string, CacheEntry> cache_;
   std::list<std::string> cache_lru_;  // front = most recently used

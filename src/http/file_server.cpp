@@ -89,15 +89,16 @@ HttpResponse FileServer::respond_to(const HttpRequest& request) {
     response.headers.set("Location", it->second.redirect_location);
   } else {
     ++hits_;
-    const std::string etag = "\"" + etag_of(it->second.body) + "\"";
-    if (const auto inm = request.headers.get("If-None-Match"); inm == etag) {
+    Resource& resource = it->second;
+    if (resource.etag.empty()) resource.etag = "\"" + etag_of(resource.body) + "\"";
+    if (const auto inm = request.headers.get("If-None-Match"); inm == resource.etag) {
       ++revalidations_;
       response.status = 304;
       response.reason = status_reason(304);
     } else {
-      response = make_response(200, it->second.body, it->second.content_type);
+      response = make_response(200, resource.body, resource.content_type);
     }
-    response.headers.set("ETag", etag);
+    response.headers.set("ETag", resource.etag);
   }
   if (strict_scion_.has_value()) {
     set_strict_scion(response, *strict_scion_);

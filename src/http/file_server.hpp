@@ -79,6 +79,10 @@ class FileServer {
     std::string content_type;
     std::string redirect_location;  // non-empty => redirect
     int redirect_status = 0;
+    /// Quoted ETag header value, hashed from `body` on the first response
+    /// (empty until then). add_* and remove replace the whole Resource, so
+    /// the memo never outlives the body it was computed from.
+    std::string etag;
   };
 
   [[nodiscard]] HttpResponse respond_to(const HttpRequest& request);

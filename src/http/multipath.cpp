@@ -6,7 +6,9 @@ namespace pan::http {
 
 namespace {
 constexpr std::string_view kLog = "multipath";
-}
+/// Failover attempts on other channels when a fetch errors.
+constexpr std::size_t kMaxRetries = 2;
+}  // namespace
 
 const char* to_string(MultipathConfig::Schedule s) {
   switch (s) {
@@ -30,7 +32,7 @@ void MultipathScionConnection::add_channel(scion::ScionStack& stack, scion::Path
                                            std::string access) {
   Channel channel;
   channel.conn =
-      std::make_unique<ScionHttpConnection>(stack, server_, path.dataplane(), config_.quic);
+      std::make_unique<ScionHttpConnection>(stack, server_, path.dataplane(), default_quic_config());
   channel.stack = &stack;
   channel.stats.fingerprint = path.fingerprint();
   channel.stats.access = access;
@@ -69,7 +71,7 @@ void MultipathScionConnection::maybe_redial(std::size_t index) {
     dead.redial_pending = false;
     if (channel_usable(dead)) return;  // recovered on its own in the meantime
     dead.conn = std::make_unique<ScionHttpConnection>(*dead.stack, server_,
-                                                      dead.path.dataplane(), config_.quic);
+                                                      dead.path.dataplane(), default_quic_config());
   });
 }
 
@@ -138,12 +140,12 @@ std::size_t MultipathScionConnection::pick_for_intent(net::FetchIntent intent) {
 
 void MultipathScionConnection::fetch(const HttpRequest& request,
                                      HttpClientStream::ResponseFn on_response) {
-  attempt(request, std::nullopt, std::move(on_response), config_.max_retries);
+  attempt(request, std::nullopt, std::move(on_response), kMaxRetries);
 }
 
 void MultipathScionConnection::fetch(const HttpRequest& request, net::FetchIntent intent,
                                      HttpClientStream::ResponseFn on_response) {
-  attempt(request, intent, std::move(on_response), config_.max_retries);
+  attempt(request, intent, std::move(on_response), kMaxRetries);
 }
 
 void MultipathScionConnection::attempt(const HttpRequest& request,

@@ -23,8 +23,6 @@ struct MultipathConfig {
     kWeightedLatency,   // minimize (outstanding+1) * path latency
   };
   Schedule schedule = Schedule::kLeastOutstanding;
-  /// Failover attempts on other channels when a fetch errors.
-  std::size_t max_retries = 2;
   /// Bounded re-dial: a channel whose transport dies is re-dialed on its
   /// path (exponential backoff: redial_backoff * 2^n) up to max_redials
   /// consecutive times, so a long transfer recovers full striping width
@@ -32,7 +30,6 @@ struct MultipathConfig {
   /// completing over the channel resets its redial budget. 0 disables.
   std::size_t max_redials = 3;
   Duration redial_backoff = milliseconds(50);
-  transport::TransportConfig quic = default_quic_config();
 };
 
 [[nodiscard]] const char* to_string(MultipathConfig::Schedule s);

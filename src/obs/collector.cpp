@@ -8,6 +8,11 @@ namespace pan::obs {
 
 namespace {
 
+/// Spans kept per trace; excess spans are counted, dropped.
+constexpr std::size_t kMaxSpansPerTrace = 64;
+/// In-flight traces (oldest evicted).
+constexpr std::size_t kMaxPending = 256;
+
 std::string hex_id(std::uint64_t id) {
   return strings::format("0x%016llx", static_cast<unsigned long long>(id));
 }
@@ -36,7 +41,7 @@ void TraceCollector::record_span(CollectedSpan span) {
   if (it == pending_.end()) {
     // New in-flight trace; evict the oldest when over budget so a hop that
     // keeps emitting after finalize (late reverse-proxy spans) stays bounded.
-    while (pending_order_.size() >= config_.max_pending) {
+    while (pending_order_.size() >= kMaxPending) {
       pending_.erase(pending_order_.front());
       pending_order_.pop_front();
       ++evicted_;
@@ -44,7 +49,7 @@ void TraceCollector::record_span(CollectedSpan span) {
     pending_order_.push_back(span.trace_id);
     it = pending_.emplace(span.trace_id, std::vector<CollectedSpan>{}).first;
   }
-  if (it->second.size() >= config_.max_spans_per_trace) {
+  if (it->second.size() >= kMaxSpansPerTrace) {
     ++spans_dropped_;
     return;
   }

@@ -52,9 +52,7 @@ struct TraceRecord {
 };
 
 struct CollectorConfig {
-  std::size_t max_traces = 128;          ///< Retained finished traces (ring).
-  std::size_t max_spans_per_trace = 64;  ///< Excess spans are counted, dropped.
-  std::size_t max_pending = 256;         ///< In-flight traces (oldest evicted).
+  std::size_t max_traces = 128;  ///< Retained finished traces (ring).
   /// Head-sampling rates per priority class: keep 1 in N. 1 = keep all,
   /// 0 = keep none (errors still force retention at finalize).
   std::uint32_t sample_document = 1;

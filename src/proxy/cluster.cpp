@@ -10,6 +10,20 @@ namespace pan::proxy {
 
 namespace {
 constexpr std::string_view kLog = "fleet";
+/// Consistent-hash ring points per replica (more = smoother spread).
+constexpr std::size_t kVnodesPerReplica = 16;
+/// Consecutive probe misses that mark a replica degraded / down.
+constexpr std::size_t kProbeMissDegraded = 1;
+constexpr std::size_t kProbeMissDown = 3;
+/// EWMA weight of each answer (1 = error/timeout, 0 = success).
+constexpr double kErrorEwmaAlpha = 0.2;
+/// EWMA above this marks a healthy replica degraded; recovery at half.
+constexpr double kDegradedErrorRate = 0.5;
+/// Slack kept before the request deadline: the terminal 503 must win the
+/// race against the replica's own 504 deadline timer.
+constexpr Duration kFailoverMargin = milliseconds(50);
+/// Retry-After advertised on a terminal fleet shed (503).
+constexpr Duration kShedRetryAfter = seconds(1);
 
 /// FNV-1a over the key, finished with a splitmix round so nearby keys
 /// ("rep-0#1" / "rep-0#2") land far apart on the ring.
@@ -53,17 +67,13 @@ ProxyCluster::ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionSta
       daemon_(daemon),
       zone_(zone),
       config_(std::move(config)),
-      owned_metrics_(config_.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
-                                                : nullptr),
-      metrics_(config_.metrics != nullptr ? config_.metrics : owned_metrics_.get()),
-      fleet_series_(*metrics_, config_.timeseries, sim.now()) {
+      fleet_series_(metrics_, obs::TimeSeriesConfig{}, sim.now()) {
   config_.replicas = std::max<std::size_t>(1, config_.replicas);
-  config_.vnodes_per_replica = std::max<std::size_t>(1, config_.vnodes_per_replica);
   replicas_.resize(config_.replicas);
   for (std::size_t i = 0; i < config_.replicas; ++i) {
     replicas_[i].name = config_.replica_name_prefix + std::to_string(i);
     build_replica(i);
-    for (std::size_t v = 0; v < config_.vnodes_per_replica; ++v) {
+    for (std::size_t v = 0; v < kVnodesPerReplica; ++v) {
       ring_.emplace_back(ring_hash(replicas_[i].name + "#" + std::to_string(v)), i);
     }
   }
@@ -164,8 +174,8 @@ std::string ProxyCluster::owner_of(const std::string& origin_key) {
 
 Duration ProxyCluster::hedge_delay(const std::string& origin_key) const {
   const auto it = answer_rtt_.find(origin_key);
-  return it == answer_rtt_.end() ? config_.failover_timeout
-                                 : it->second.timeout(config_.failover_timeout);
+  return it == answer_rtt_.end() ? kFailoverTimeout
+                                 : it->second.timeout(kFailoverTimeout);
 }
 
 // --- the request path ------------------------------------------------------
@@ -249,7 +259,7 @@ void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index
 }
 
 void ProxyCluster::arm_failover_timer(const PendingPtr& pending) {
-  const TimePoint final_check = pending->deadline - config_.failover_margin;
+  const TimePoint final_check = pending->deadline - kFailoverMargin;
   TimePoint when = std::min(final_check, scope_.now() + hedge_delay(pending->origin_key));
   if (when < scope_.now()) when = scope_.now();
   scope_.cancel(pending->failover_timer);
@@ -264,10 +274,10 @@ void ProxyCluster::on_unanswered(const PendingPtr& pending, const char* reason) 
   // An unanswered attempt is a passive health strike against its replica.
   record_answer(pending->replica_index, /*error=*/true);
 
-  const TimePoint final_check = pending->deadline - config_.failover_margin;
+  const TimePoint final_check = pending->deadline - kFailoverMargin;
   const bool budget_left = scope_.now() < final_check;
   const int next =
-      budget_left && pending->failovers < config_.max_failovers
+      budget_left && pending->failovers < kMaxFailovers
           ? route(pending->origin_key, pending->tried)
           : -1;
   if (next >= 0) {
@@ -302,7 +312,7 @@ void ProxyCluster::shed(const PendingPtr& pending, const std::string& why) {
   result.transport = TransportUsed::kError;
   result.outcome = "fleet-shed";
   result.response =
-      http::make_retry_after_response(503, config_.shed_retry_after, "fleet: " + why);
+      http::make_retry_after_response(503, kShedRetryAfter, "fleet: " + why);
   deliver(pending, std::move(result));
 }
 
@@ -386,7 +396,7 @@ void ProxyCluster::forward_internal(http::HttpRequest request, ProxyRequestOptio
   ProxyResult result;
   result.transport = TransportUsed::kError;
   result.outcome = "fleet-shed";
-  result.response = http::make_retry_after_response(503, config_.shed_retry_after,
+  result.response = http::make_retry_after_response(503, kShedRetryAfter,
                                                     "fleet: no live replica");
   if (on_result) on_result(std::move(result));
 }
@@ -475,7 +485,7 @@ void ProxyCluster::drain_replica(const std::string& name) {
   rep->snapshot.taken = true;
   rep->snapshot.taken_at = scope_.now();
   const std::uint64_t generation = rep->generation;
-  scope_.schedule_after(config_.drain_grace,
+  scope_.schedule_after(kDrainGrace,
                         [this, index, generation] { complete_drain(index, generation); });
 }
 
@@ -552,7 +562,7 @@ void ProxyCluster::probe(std::size_t index) {
   ping.method = "GET";
   ping.target = "/skip/ping";
   ProxyRequestOptions options;
-  options.deadline = scope_.now() + config_.probe_timeout;
+  options.deadline = scope_.now() + kProbeTimeout;
   rep.proxy->fetch(std::move(ping), std::move(options),
                    [this, index, answered](ProxyResult result) {
                      Replica& pinged = replicas_[index];
@@ -562,7 +572,7 @@ void ProxyCluster::probe(std::size_t index) {
                      if (*answered) pinged.overdue = false;
                    });
 
-  scope_.schedule_after(config_.probe_timeout, [this, index, generation, answered] {
+  scope_.schedule_after(kProbeTimeout, [this, index, generation, answered] {
     Replica& rep = replicas_[index];
     if (rep.crashed() || rep.generation != generation) return;
     if (*answered) {
@@ -581,22 +591,22 @@ void ProxyCluster::probe(std::size_t index) {
       // A successful probe is a success sample: without this, a replica
       // whose EWMA was driven up by a since-cleared wedge would never earn
       // its way back (nobody routes to it, so no answers decay the EWMA).
-      rep.error_ewma *= 1.0 - config_.error_ewma_alpha;
+      rep.error_ewma *= 1.0 - kErrorEwmaAlpha;
       if (!rep.draining &&
           (rep.health == ReplicaHealth::kDegraded || rep.health == ReplicaHealth::kDown) &&
-          rep.error_ewma <= config_.degraded_error_rate) {
+          rep.error_ewma <= kDegradedErrorRate) {
         set_health(rep, ReplicaHealth::kHealthy, "probe-ok");
       }
       return;
     }
     ++rep.probe_misses;
     count("fleet.probe_misses");
-    if (rep.probe_misses >= config_.probe_miss_down) {
+    if (rep.probe_misses >= kProbeMissDown) {
       if (rep.health != ReplicaHealth::kDown) {
         set_health(rep, ReplicaHealth::kDown,
                    "probe-miss x" + std::to_string(rep.probe_misses));
       }
-    } else if (rep.probe_misses >= config_.probe_miss_degraded && !rep.draining &&
+    } else if (rep.probe_misses >= kProbeMissDegraded && !rep.draining &&
                rep.health == ReplicaHealth::kHealthy) {
       set_health(rep, ReplicaHealth::kDegraded,
                  "probe-miss x" + std::to_string(rep.probe_misses));
@@ -606,15 +616,15 @@ void ProxyCluster::probe(std::size_t index) {
 
 void ProxyCluster::record_answer(std::size_t index, bool error) {
   Replica& rep = replicas_[index];
-  rep.error_ewma = (1.0 - config_.error_ewma_alpha) * rep.error_ewma +
-                   config_.error_ewma_alpha * (error ? 1.0 : 0.0);
+  rep.error_ewma = (1.0 - kErrorEwmaAlpha) * rep.error_ewma +
+                   kErrorEwmaAlpha * (error ? 1.0 : 0.0);
   if (rep.crashed() || rep.draining) return;
   if (rep.health == ReplicaHealth::kHealthy &&
-      rep.error_ewma > config_.degraded_error_rate) {
+      rep.error_ewma > kDegradedErrorRate) {
     set_health(rep, ReplicaHealth::kDegraded,
                "error-ewma " + strings::format("%.2f", rep.error_ewma));
   } else if (rep.health == ReplicaHealth::kDegraded && rep.probe_misses == 0 &&
-             rep.error_ewma < config_.degraded_error_rate / 2.0) {
+             rep.error_ewma < kDegradedErrorRate / 2.0) {
     set_health(rep, ReplicaHealth::kHealthy,
                "error-ewma " + strings::format("%.2f", rep.error_ewma));
   }
@@ -635,10 +645,10 @@ void ProxyCluster::update_health_gauges() {
   for (const Replica& rep : replicas_) {
     ++counts[static_cast<std::size_t>(rep.health)];
   }
-  metrics_->gauge("fleet.replicas_healthy").set(static_cast<double>(counts[0]));
-  metrics_->gauge("fleet.replicas_degraded").set(static_cast<double>(counts[1]));
-  metrics_->gauge("fleet.replicas_draining").set(static_cast<double>(counts[2]));
-  metrics_->gauge("fleet.replicas_down").set(static_cast<double>(counts[3]));
+  metrics_.gauge("fleet.replicas_healthy").set(static_cast<double>(counts[0]));
+  metrics_.gauge("fleet.replicas_degraded").set(static_cast<double>(counts[1]));
+  metrics_.gauge("fleet.replicas_draining").set(static_cast<double>(counts[2]));
+  metrics_.gauge("fleet.replicas_down").set(static_cast<double>(counts[3]));
 }
 
 // --- introspection ---------------------------------------------------------
@@ -708,27 +718,27 @@ std::string ProxyCluster::fleet_json() {
 
 FleetStats ProxyCluster::stats() const {
   FleetStats stats;
-  stats.requests = metrics_->counter_value("fleet.requests");
-  stats.internal = metrics_->counter_value("fleet.internal");
-  stats.failovers = metrics_->counter_value("fleet.failovers");
-  stats.handoffs = metrics_->counter_value("fleet.handoffs");
-  stats.shed = metrics_->counter_value("fleet.shed");
-  stats.no_replica = metrics_->counter_value("fleet.no_replica");
-  stats.crashes = metrics_->counter_value("fleet.crashes");
-  stats.restarts_warm = metrics_->counter_value("fleet.restarts_warm");
-  stats.restarts_cold = metrics_->counter_value("fleet.restarts_cold");
-  stats.probes = metrics_->counter_value("fleet.probes");
-  stats.probe_misses = metrics_->counter_value("fleet.probe_misses");
-  stats.cache_broadcasts = metrics_->counter_value("fleet.cache_broadcasts");
-  stats.cache_invalidations = metrics_->counter_value("fleet.cache_invalidations");
-  stats.drains = metrics_->counter_value("fleet.drains");
+  stats.requests = metrics_.counter_value("fleet.requests");
+  stats.internal = metrics_.counter_value("fleet.internal");
+  stats.failovers = metrics_.counter_value("fleet.failovers");
+  stats.handoffs = metrics_.counter_value("fleet.handoffs");
+  stats.shed = metrics_.counter_value("fleet.shed");
+  stats.no_replica = metrics_.counter_value("fleet.no_replica");
+  stats.crashes = metrics_.counter_value("fleet.crashes");
+  stats.restarts_warm = metrics_.counter_value("fleet.restarts_warm");
+  stats.restarts_cold = metrics_.counter_value("fleet.restarts_cold");
+  stats.probes = metrics_.counter_value("fleet.probes");
+  stats.probe_misses = metrics_.counter_value("fleet.probe_misses");
+  stats.cache_broadcasts = metrics_.counter_value("fleet.cache_broadcasts");
+  stats.cache_invalidations = metrics_.counter_value("fleet.cache_invalidations");
+  stats.drains = metrics_.counter_value("fleet.drains");
   return stats;
 }
 
-void ProxyCluster::count(const std::string& name) { metrics_->counter(name).inc(); }
+void ProxyCluster::count(const std::string& name) { metrics_.counter(name).inc(); }
 
 void ProxyCluster::event(std::string_view kind, std::string detail) {
-  metrics_->events().record(scope_.now(), "fleet", kind, std::move(detail));
+  metrics_.events().record(scope_.now(), "fleet", kind, std::move(detail));
 }
 
 }  // namespace pan::proxy

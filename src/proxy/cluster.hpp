@@ -20,7 +20,7 @@
 //     delay is hedged onto the next live replica on the ring, within the
 //     request's original deadline budget — never past it. The hedge delay is
 //     measured, not configured: an RFC 9002-style smoothed answer latency
-//     per origin (srtt + max(4*rttvar, 1ms)), capped at failover_timeout,
+//     per origin (srtt + max(4*rttvar, 1ms)), capped at kFailoverTimeout,
 //     which is also the delay before an origin's first answer. A replica
 //     whose attempt timed out is overdue: it takes no new requests while a
 //     live peer does, until it answers anything (a late answer, another
@@ -42,7 +42,7 @@
 //     completely cold (false) for ablation.
 //
 //   * Draining: drain_replica() stops routing *new* origins to a replica;
-//     origins it already owns keep flowing for drain_grace, then ownership
+//     origins it already owns keep flowing for kDrainGrace, then ownership
 //     is handed off and its pooled SCION connections are retired.
 //
 // Every transition lands in the fleet registry's FlightRecorder ring and
@@ -75,40 +75,11 @@ struct ClusterConfig {
   /// Replica names are "<prefix><index>" ("rep-0", ...). Tests inject
   /// hostile prefixes to exercise /skip/fleet JSON quoting.
   std::string replica_name_prefix = "rep-";
-  /// Consistent-hash ring points per replica (more = smoother spread).
-  std::size_t vnodes_per_replica = 16;
 
-  // --- active health probes ---
+  /// Active health probe period (zero disables the probe loop).
   Duration probe_interval = milliseconds(250);
-  Duration probe_timeout = milliseconds(200);
-  /// Consecutive probe misses that mark a replica degraded / down.
-  std::size_t probe_miss_degraded = 1;
-  std::size_t probe_miss_down = 3;
 
-  // --- passive health signal ---
-  /// EWMA weight of each answer (1 = error/timeout, 0 = success).
-  double error_ewma_alpha = 0.2;
-  /// EWMA above this marks a healthy replica degraded; recovery at half.
-  double degraded_error_rate = 0.5;
-
-  // --- failover ---
-  /// Hedged re-dispatches per request after the first attempt.
-  std::size_t max_failovers = 2;
-  /// Cap on the measured hedge delay, and the delay itself until an origin
-  /// has its first successful answer: how long an attempt may go unanswered
-  /// before hedging to the next replica (clamped so the last check still
-  /// beats the deadline).
-  Duration failover_timeout = milliseconds(400);
-  /// Slack kept before the request deadline: the terminal 503 must win the
-  /// race against the replica's own 504 deadline timer.
-  Duration failover_margin = milliseconds(50);
-  /// Retry-After advertised on a terminal fleet shed (503).
-  Duration shed_retry_after = seconds(1);
-
-  // --- drain / warm handoff ---
-  /// How long a draining replica keeps serving the origins it owns before
-  /// ownership is handed off and its pooled connections are retired.
-  Duration drain_grace = milliseconds(500);
+  // --- warm handoff ---
   /// Restore learned/breaker/quarantine state on replica-restart; false =
   /// cold restart (the ablation arm of bench_fleet_scale).
   bool warm_handoff = true;
@@ -123,12 +94,6 @@ struct ClusterConfig {
   /// replica revival). Scenario worlds hook the fault injector's DNS
   /// brownout table in here without the proxy layer depending on src/fault.
   std::function<void(dns::Resolver&)> on_resolver_created;
-  /// Fleet-level registry for fleet.* counters, health gauges, and the
-  /// FlightRecorder ring (null = the cluster owns a private one).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Time-series deltas over the fleet registry (fleet.* counters), ticked
-  /// by the probe heartbeat and queried via /skip/fleet/metrics?window=.
-  obs::TimeSeriesConfig timeseries;
 };
 
 /// Fleet counters, read back from the registry for ergonomic assertions.
@@ -151,6 +116,20 @@ struct FleetStats {
 
 class ProxyCluster {
  public:
+  /// Hedged re-dispatches per request after the first attempt.
+  static constexpr std::size_t kMaxFailovers = 2;
+  /// Cap on the measured hedge delay, and the delay itself until an origin
+  /// has its first successful answer: how long an attempt may go unanswered
+  /// before hedging to the next replica (clamped so the last check still
+  /// beats the deadline).
+  static constexpr Duration kFailoverTimeout = milliseconds(400);
+  /// How long a draining replica keeps serving the origins it owns before
+  /// ownership is handed off and its pooled connections are retired.
+  static constexpr Duration kDrainGrace = milliseconds(500);
+  /// Budget of one active health probe: a probe unanswered after this long
+  /// is a miss.
+  static constexpr Duration kProbeTimeout = milliseconds(200);
+
   ProxyCluster(sim::Simulator& sim, net::Host& host, scion::ScionStack& stack,
                scion::Daemon& daemon, const dns::Zone& zone, ClusterConfig config = {});
 
@@ -176,7 +155,7 @@ class ProxyCluster {
   /// One-shot bounce: crash + revive at once (the replica-restart verb).
   void restart_replica(const std::string& name);
   /// Starts draining: no new origins; owned origins hand off after
-  /// drain_grace and pooled SCION connections are retired.
+  /// kDrainGrace and pooled SCION connections are retired.
   void drain_replica(const std::string& name);
   /// Returns a draining (not crashed) replica to service.
   void undrain_replica(const std::string& name);
@@ -192,12 +171,12 @@ class ProxyCluster {
   [[nodiscard]] std::string owner_of(const std::string& origin_key);
   /// How long a new attempt for `origin_key` may go unanswered before it is
   /// hedged: the measured answer latency's timeout, capped at (and, before
-  /// the first answer, equal to) failover_timeout.
+  /// the first answer, equal to) kFailoverTimeout.
   [[nodiscard]] Duration hedge_delay(const std::string& origin_key) const;
   /// The GET /skip/fleet payload.
   [[nodiscard]] std::string fleet_json();
   [[nodiscard]] FleetStats stats() const;
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   /// The merged fleet metrics plane. Snapshots ship on the probe channel;
   /// refresh_fleet_metrics() additionally pulls every live replica now
@@ -302,10 +281,11 @@ class ProxyCluster {
   scion::Daemon& daemon_;
   const dns::Zone& zone_;
   ClusterConfig config_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  /// Fleet-level registry: fleet.* counters, health gauges, and the
+  /// FlightRecorder ring.
+  obs::MetricsRegistry metrics_;
   FleetMetricsAggregator aggregator_;
-  obs::TimeSeriesStore fleet_series_;  // over *metrics_; must follow it
+  obs::TimeSeriesStore fleet_series_;  // over metrics_; must follow it
 
   std::vector<Replica> replicas_;
 

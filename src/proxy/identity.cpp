@@ -8,6 +8,8 @@ namespace pan::proxy {
 
 namespace {
 constexpr std::size_t kMaxIdentityLength = 64;
+/// Bounded per-identity audit-trail length.
+constexpr std::size_t kAuditCap = 64;
 
 bool identity_char_ok(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
@@ -42,8 +44,8 @@ std::string identity_of_key(const std::string& key) {
   return key.substr(0, sep);
 }
 
-NetworkIdentity::NetworkIdentity(std::string id, TimePoint created_at, std::size_t audit_cap)
-    : id_(std::move(id)), created_at_(created_at), audit_cap_(audit_cap) {}
+NetworkIdentity::NetworkIdentity(std::string id, TimePoint created_at)
+    : id_(std::move(id)), created_at_(created_at) {}
 
 bool NetworkIdentity::is_quarantined(const std::string& fingerprint, TimePoint now) const {
   const auto it = quarantined_.find(fingerprint);
@@ -62,18 +64,17 @@ void NetworkIdentity::record(TimePoint at, std::string event, std::string origin
                              std::string detail) {
   audit_.push_back(
       IdentityAuditEvent{at, std::move(event), std::move(origin), std::move(detail)});
-  while (audit_cap_ > 0 && audit_.size() > audit_cap_) audit_.pop_front();
+  while (audit_.size() > kAuditCap) audit_.pop_front();
 }
 
-IdentityPathBroker::IdentityPathBroker(sim::Simulator& sim, obs::MetricsRegistry& metrics,
-                                       std::size_t audit_cap)
-    : sim_(sim), metrics_(metrics), audit_cap_(audit_cap) {}
+IdentityPathBroker::IdentityPathBroker(sim::Simulator& sim, obs::MetricsRegistry& metrics)
+    : sim_(sim), metrics_(metrics) {}
 
 NetworkIdentity& IdentityPathBroker::identity(const std::string& id) {
   const auto it = identities_.find(id);
   if (it != identities_.end()) return it->second;
   auto [inserted, ok] =
-      identities_.emplace(id, NetworkIdentity(id, sim_.now(), audit_cap_));
+      identities_.emplace(id, NetworkIdentity(id, sim_.now()));
   (void)ok;
   metrics_.counter("identity.created").inc();
   inserted->second.record(sim_.now(), "created", "", "");

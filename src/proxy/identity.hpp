@@ -87,7 +87,7 @@ struct IdentityStats {
 
 class NetworkIdentity {
  public:
-  NetworkIdentity(std::string id, TimePoint created_at, std::size_t audit_cap);
+  NetworkIdentity(std::string id, TimePoint created_at);
 
   [[nodiscard]] const std::string& id() const { return id_; }
   [[nodiscard]] TimePoint created_at() const { return created_at_; }
@@ -115,7 +115,6 @@ class NetworkIdentity {
 
   std::string id_;
   TimePoint created_at_;
-  std::size_t audit_cap_;
   IdentityStats stats_;
   std::optional<ppl::PolicySet> policies_;
   std::map<std::string, std::string> assignments_;          // ordered: stable JSON
@@ -131,8 +130,7 @@ class NetworkIdentity {
 /// proxy does.
 class IdentityPathBroker {
  public:
-  IdentityPathBroker(sim::Simulator& sim, obs::MetricsRegistry& metrics,
-                     std::size_t audit_cap = 64);
+  IdentityPathBroker(sim::Simulator& sim, obs::MetricsRegistry& metrics);
 
   /// Looks up (creating on first sight, with a "created" audit event).
   NetworkIdentity& identity(const std::string& id);
@@ -175,7 +173,6 @@ class IdentityPathBroker {
  private:
   sim::Simulator& sim_;
   obs::MetricsRegistry& metrics_;
-  std::size_t audit_cap_;
   std::map<std::string, NetworkIdentity> identities_;  // ordered: stable JSON
   /// origin -> fingerprint -> owning identity: the disjointness ledger.
   std::unordered_map<std::string, std::unordered_map<std::string, std::string>> live_;

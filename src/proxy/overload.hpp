@@ -62,16 +62,10 @@ inline constexpr std::string_view kDeadlineHeader = "X-Skip-Deadline-Ms";
 
 struct AimdConfig {
   std::size_t min_limit = 1;
-  /// Upper bound and initial value; 0 disables the controller entirely
-  /// (callers skip wiring it into the pool).
+  /// Upper bound and initial value.
   std::size_t max_limit = 6;
   /// Completions slower than this (or failed) shrink the window.
   Duration latency_target = milliseconds(750);
-  /// Multiplicative decrease factor per over-target completion.
-  double decrease_factor = 0.7;
-  /// Additive increase per on-target completion (fractional: ~1/step
-  /// completions reopen the window by one slot).
-  double increase_step = 0.1;
 };
 
 /// AIMD concurrency controller, one window per origin key.
@@ -116,26 +110,14 @@ struct OverloadConfig {
   /// tracks in-flight for observability) and brownout never trips.
   bool enabled = true;
   /// Per-client token bucket: sustained requests/second (0 disables rate
-  /// limiting) and burst size (0 = max(1, client_rate)).
+  /// limiting); the bucket holds max(1, client_rate) tokens.
   double client_rate = 0.0;
-  double client_burst = 0.0;
   /// Global cap on admitted in-flight requests (0 disables the cap).
   std::size_t max_in_flight = 0;
-  /// Priority ladder: fraction of max_in_flight at which the class is
-  /// rejected. Documents always get the full cap.
-  double subresource_admit_fraction = 0.9;
-  double probe_admit_fraction = 0.5;
-  /// Retry-After advertised on 429/503 rejections.
-  Duration retry_after = seconds(1);
   /// Brownout: load-pressure EWMA (in-flight / cap) must sit at or above
-  /// `brownout_enter` for `brownout_hold` to trip; clears at or below
-  /// `brownout_exit` (hysteresis so it does not flap).
-  double brownout_enter = 0.9;
-  double brownout_exit = 0.6;
+  /// the enter threshold for `brownout_hold` to trip; clears at or below
+  /// the exit threshold (hysteresis so it does not flap).
   Duration brownout_hold = milliseconds(250);
-  /// EWMA time constant: pressure closes ~63% of the gap to the current
-  /// utilization per tau of elapsed sim time.
-  Duration pressure_tau = milliseconds(100);
 };
 
 /// Ingress admission control + brownout for one proxy.
@@ -150,6 +132,9 @@ class OverloadController {
     Verdict verdict = Verdict::kAdmit;
     Duration retry_after = Duration::zero();
   };
+  /// Retry-After advertised on 429/503 rejections (also by the proxies for
+  /// sheds at their pools).
+  static constexpr Duration kRetryAfter = seconds(1);
 
   /// `prefix` scopes the metrics (`<prefix>.admitted`, ...): "overload" for
   /// the SKIP proxy, "revproxy.overload" for the reverse proxy, so a shared
@@ -192,7 +177,7 @@ class OverloadController {
   std::map<std::string, Bucket> buckets_;
   double pressure_ = 0.0;
   TimePoint pressure_updated_;
-  /// Brownout hysteresis: when pressure first crossed brownout_enter
+  /// Brownout hysteresis: when pressure first crossed the enter threshold
   /// (tracked only while continuously above it).
   std::optional<TimePoint> above_enter_since_;
   bool brownout_ = false;

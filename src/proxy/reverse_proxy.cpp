@@ -8,6 +8,17 @@ namespace pan::proxy {
 namespace {
 /// The pool key for the single configured backend.
 constexpr const char* kBackendKey = "backend";
+/// Backend connections idle longer than this are evicted.
+constexpr Duration kPoolIdleTtl = seconds(60);
+/// Adaptive concurrency for the backend pool: narrows the pipelining
+/// fan-out when the backend's latency inflates.
+constexpr AimdConfig kBackendAimd{
+    .min_limit = 4, .max_limit = 64, .latency_target = milliseconds(1500)};
+/// Local deadline budget per relayed request: the queue-shedding deadline
+/// is now + min(kBackendBudget, X-Skip-Deadline-Ms from the client hop).
+constexpr Duration kBackendBudget = seconds(8);
+/// Per-request processing overhead of the reverse proxy.
+constexpr Duration kProcessingOverhead = microseconds(150);
 }  // namespace
 
 http::OriginPoolConfig ReverseProxy::backend_pool_config(const ReverseProxyConfig& config,
@@ -19,14 +30,13 @@ http::OriginPoolConfig ReverseProxy::backend_pool_config(const ReverseProxyConfi
   // pipeline onto the *least-outstanding* live connection instead of
   // convoying behind the first one.
   pool.max_outstanding_per_conn = 0;
-  pool.idle_ttl = config.pool_idle_ttl;
+  pool.idle_ttl = kPoolIdleTtl;
   pool.limiter = limiter;
-  pool.deadline_shed = config.overload.enabled;
   return pool;
 }
 
 TimePoint ReverseProxy::relay_deadline(const http::HttpRequest& request) const {
-  Duration budget = config_.backend_budget;
+  Duration budget = kBackendBudget;
   if (const auto header = request.headers.get(kDeadlineHeader)) {
     char* end = nullptr;
     const long long ms = std::strtoll(header->c_str(), &end, 10);
@@ -42,41 +52,31 @@ ReverseProxy::ReverseProxy(scion::ScionStack& stack, std::uint16_t listen_port,
     : stack_(stack),
       backend_(backend),
       config_(std::move(config)),
-      owned_metrics_(config_.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
-                                                : nullptr),
-      metrics_(config_.metrics != nullptr ? config_.metrics : owned_metrics_.get()),
       collector_(config_.collector),
-      overload_(stack.host().simulator(), *metrics_, config_.overload, "revproxy.overload"),
-      backend_limiter_("revproxy.backend", config_.backend_aimd, *metrics_),
-      backend_pool_(stack.host().simulator(), *metrics_,
-                    backend_pool_config(config_, config_.overload.enabled &&
-                                                         config_.backend_aimd.max_limit > 0
-                                                     ? &backend_limiter_
-                                                     : nullptr)) {
+      backend_limiter_("revproxy.backend", kBackendAimd, metrics_),
+      backend_pool_(stack.host().simulator(), metrics_,
+                    backend_pool_config(config_, &backend_limiter_)) {
   backend_limiter_.set_simulator(&stack_.host().simulator());
   server_ = std::make_unique<http::ScionHttpServer>(
       stack_, listen_port,
       [this](const http::HttpRequest& request, http::HttpServer::Respond respond) {
         relay(request, std::move(respond));
       },
-      config_.quic);
+      http::default_quic_config());
 }
 
-void ReverseProxy::record_hop(const HopTrace& hop, int status, std::string_view outcome,
-                              bool backend_ran) {
+void ReverseProxy::record_hop(const HopTrace& hop, int status, std::string_view outcome) {
   const TimePoint now = stack_.host().simulator().now();
-  if (backend_ran) {
-    obs::CollectedSpan backend;
-    backend.trace_id = hop.ctx.trace_id;
-    backend.span_id = hop.backend_span;
-    backend.parent_id = hop.relay_span;
-    backend.name = "backend";
-    backend.component = "revproxy";
-    backend.start = hop.backend_start;
-    backend.duration = now - hop.backend_start;
-    backend.attrs.emplace_back("status", std::to_string(status));
-    collector_->record_span(std::move(backend));
-  }
+  obs::CollectedSpan backend;
+  backend.trace_id = hop.ctx.trace_id;
+  backend.span_id = hop.backend_span;
+  backend.parent_id = hop.relay_span;
+  backend.name = "backend";
+  backend.component = "revproxy";
+  backend.start = hop.backend_start;
+  backend.duration = now - hop.backend_start;
+  backend.attrs.emplace_back("status", std::to_string(status));
+  collector_->record_span(std::move(backend));
   obs::CollectedSpan relay;
   relay.trace_id = hop.ctx.trace_id;
   relay.span_id = hop.relay_span;
@@ -108,21 +108,6 @@ void ReverseProxy::relay(const http::HttpRequest& request,
     }
   }
 
-  // Admission before any work is queued: a rejected request costs one
-  // synthesized response, not a backend slot.
-  const OverloadController::Admission admission =
-      overload_.admit(client_of(request), priority_of(request));
-  if (admission.verdict != OverloadController::Verdict::kAdmit) {
-    ++rejected_;
-    const bool rate = admission.verdict == OverloadController::Verdict::kRejectRate;
-    if (hop != nullptr) record_hop(*hop, rate ? 429 : 503, "shed", /*backend_ran=*/false);
-    respond(http::make_retry_after_response(
-        rate ? 429 : 503, admission.retry_after,
-        rate ? "reverse proxy: per-client rate limit exceeded"
-             : "reverse proxy: over capacity"));
-    return;
-  }
-
   http::SubmitOptions options;
   options.priority = static_cast<std::uint8_t>(priority_of(request));
   options.deadline = relay_deadline(request);
@@ -131,23 +116,22 @@ void ReverseProxy::relay(const http::HttpRequest& request,
     backend_pool_.submit(
         kBackendKey, request, options,
         [this, hop, respond = std::move(respond)](Result<http::HttpResponse> result) {
-          overload_.release();
           ++relayed_;
           if (!result.ok()) {
             ++backend_errors_;
             if (http::OriginPool::is_shed(result.error())) {
-              metrics_->counter("revproxy.overload.shed_requests").inc();
-              if (hop != nullptr) record_hop(*hop, 503, "shed", /*backend_ran=*/true);
+              metrics_.counter("revproxy.overload.shed_requests").inc();
+              if (hop != nullptr) record_hop(*hop, 503, "shed");
               respond(http::make_retry_after_response(
-                  503, config_.overload.retry_after,
+                  503, OverloadController::kRetryAfter,
                   "reverse proxy shed under load: " + result.error()));
             } else if (http::OriginPool::is_expired(result.error()) ||
                        http::OriginPool::is_queue_timeout(result.error())) {
-              if (hop != nullptr) record_hop(*hop, 504, "timeout", /*backend_ran=*/true);
+              if (hop != nullptr) record_hop(*hop, 504, "timeout");
               respond(http::make_text_response(
                   504, "reverse proxy: deadline expired: " + result.error()));
             } else {
-              if (hop != nullptr) record_hop(*hop, 502, "fault", /*backend_ran=*/true);
+              if (hop != nullptr) record_hop(*hop, 502, "fault");
               respond(http::make_text_response(502, "reverse proxy: " + result.error()));
             }
             return;
@@ -161,21 +145,16 @@ void ReverseProxy::relay(const http::HttpRequest& request,
           }
           response.headers.set("Via", "pan-reverse-proxy");
           if (hop != nullptr) {
-            record_hop(*hop, response.status, response.status >= 400 ? "error" : "ok",
-                       /*backend_ran=*/true);
+            record_hop(*hop, response.status, response.status >= 400 ? "error" : "ok");
           }
           respond(std::move(response));
         },
         [this]() {
           return std::make_unique<http::LegacyPooledConnection>(stack_.host(), backend_,
-                                                                config_.tcp);
+                                                                http::default_tcp_config());
         });
   };
-  if (config_.processing_overhead > Duration::zero()) {
-    stack_.host().simulator().schedule_after(config_.processing_overhead, std::move(forward));
-  } else {
-    forward();
-  }
+  stack_.host().simulator().schedule_after(kProcessingOverhead, std::move(forward));
 }
 
 }  // namespace pan::proxy

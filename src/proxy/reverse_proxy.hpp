@@ -24,27 +24,7 @@ struct ReverseProxyConfig {
   /// Inject a "Path-Preference: ..." header (server-side path negotiation)
   /// on behalf of the backend operator.
   std::optional<std::string> inject_path_preference;
-  /// Per-request processing overhead of the reverse proxy.
-  Duration processing_overhead = microseconds(150);
-  transport::TransportConfig quic = http::default_quic_config();
-  transport::TransportConfig tcp = http::default_tcp_config();
   std::size_t max_backend_conns = 8;
-  /// Backend connections idle longer than this are evicted (zero = never).
-  Duration pool_idle_ttl = seconds(60);
-  /// Ingress admission control + brownout-pressure tracking (metrics under
-  /// `revproxy.overload.*`). Defaults admit everything; benches cap
-  /// max_in_flight to exercise shedding.
-  OverloadConfig overload;
-  /// Adaptive concurrency for the backend pool: narrows the pipelining
-  /// fan-out when the backend's latency inflates (max_limit 0 disables).
-  AimdConfig backend_aimd = {.min_limit = 4, .max_limit = 64,
-                             .latency_target = milliseconds(1500)};
-  /// Local deadline budget per relayed request: the queue-shedding deadline
-  /// is now + min(backend_budget, X-Skip-Deadline-Ms from the client hop).
-  Duration backend_budget = seconds(8);
-  /// Shared metrics registry (`pool.revproxy.backend.*` instruments). When
-  /// null the proxy owns a private one.
-  obs::MetricsRegistry* metrics = nullptr;
   /// Trace collector for this hop's spans. When a relayed request carries an
   /// X-Skip-Trace header, the reverse proxy records a "relay" span (parented
   /// under the client hop's fetch span) and a "backend" span beneath it.
@@ -62,10 +42,6 @@ class ReverseProxy {
 
   [[nodiscard]] std::uint64_t requests_relayed() const { return relayed_; }
   [[nodiscard]] std::uint64_t backend_errors() const { return backend_errors_; }
-  /// Requests rejected at ingress by admission control (429/503).
-  [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
-  /// The ingress overload controller (tests / introspection).
-  [[nodiscard]] OverloadController& overload() { return overload_; }
   /// The backend connection pool (introspection for tests). Once the pool
   /// is at max_backend_conns, further requests pipeline onto the
   /// least-outstanding live connection.
@@ -87,29 +63,26 @@ class ReverseProxy {
   };
 
   void relay(const http::HttpRequest& request, http::HttpServer::Respond respond);
-  /// Records the relay (and optionally backend) spans for a finished relay.
-  void record_hop(const HopTrace& hop, int status, std::string_view outcome,
-                  bool backend_ran);
+  /// Records the relay and backend spans for a finished relay.
+  void record_hop(const HopTrace& hop, int status, std::string_view outcome);
   [[nodiscard]] static http::OriginPoolConfig backend_pool_config(
       const ReverseProxyConfig& config, http::ConcurrencyLimiter* limiter);
-  /// Queue-shedding deadline for one relayed request (backend_budget capped
+  /// Queue-shedding deadline for one relayed request (kBackendBudget capped
   /// by the client hop's X-Skip-Deadline-Ms, when present).
   [[nodiscard]] TimePoint relay_deadline(const http::HttpRequest& request) const;
 
   scion::ScionStack& stack_;
   net::Endpoint backend_;
   ReverseProxyConfig config_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;  // set before the overload layer
+  /// Backend-pool instruments (`pool.revproxy.backend.*`, AIMD window).
+  obs::MetricsRegistry metrics_;  // before backend_limiter_ and backend_pool_
   obs::TraceCollector* collector_ = nullptr;
-  OverloadController overload_;
   AimdController backend_limiter_;
   http::OriginPool backend_pool_;
   std::unique_ptr<http::ScionHttpServer> server_;
   std::uint64_t next_span_seq_ = 1;
   std::uint64_t relayed_ = 0;
   std::uint64_t backend_errors_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace pan::proxy

@@ -15,6 +15,33 @@ constexpr std::string_view kInternalPrefix = "/skip/";
 /// Name the ctor's host/stack take in the access bundle once add_access()
 /// turns multi-access on.
 constexpr std::string_view kPrimaryAccess = "primary";
+/// Idle pooled connections (legacy and SCION) are evicted after this long.
+constexpr Duration kPoolIdleTtl = seconds(60);
+/// Consecutive fetch failures against one origin before its pool trips a
+/// cool-down during which requests fast-fail.
+constexpr std::size_t kPoolBackoffThreshold = 3;
+constexpr Duration kPoolBackoffCooldown = seconds(5);
+/// Exponential backoff between SCION attempts: base * factor^(attempt-1),
+/// with deterministic +/- jitter so retries across requests decorrelate.
+constexpr Duration kRetryBackoffBase = milliseconds(40);
+constexpr double kRetryBackoffFactor = 2.0;
+constexpr double kRetryJitterFrac = 0.2;
+constexpr std::uint64_t kRetryJitterSeed = 0x5eed;
+/// Deadline budget reserved for the legacy fallback: opportunistic
+/// requests with a legacy address stop retrying SCION early enough to
+/// still complete over IP within the deadline.
+constexpr Duration kFallbackMargin = seconds(2);
+/// Retry-After advertised when strict mode exhausts its retries (503).
+constexpr Duration kStrictRetryAfter = seconds(1);
+/// After rotate_identity(), the released fingerprints stay off-limits to
+/// the rotating identity for this long so re-brokering lands on fresh
+/// paths instead of trivially re-claiming the old ones.
+constexpr Duration kIdentityQuarantineTtl = seconds(30);
+/// Adaptive per-origin concurrency for the legacy pool (AIMD).
+constexpr AimdConfig kLegacyAimd{};
+/// Same for the multiplexed SCION pool, whose outstanding requests were
+/// previously unbounded.
+constexpr AimdConfig kScionAimd{.min_limit = 2, .max_limit = 64};
 
 http::HttpResponse synthetic_error(int status, const std::string& message) {
   http::HttpResponse response = http::make_text_response(status, message);
@@ -22,15 +49,15 @@ http::HttpResponse synthetic_error(int status, const std::string& message) {
   return response;
 }
 
-/// A fleet of replicas shares the configured retry_jitter_seed default, and
+/// Every replica of a fleet starts from kRetryJitterSeed, and
 /// identically-seeded Rngs would make every replica compute the *same*
 /// backoff jitter — after a shared fault the whole fleet retries in
 /// synchronized waves, defeating the jitter. Salt the seed with a
 /// process-wide instance number (same device as make_trace()'s trace-id
 /// salt; the sim is single-threaded, so this stays deterministic).
-std::uint64_t salted_jitter_seed(std::uint64_t seed) {
+std::uint64_t salted_jitter_seed() {
   static std::uint64_t instance_seq = 0;
-  return seed ^ (0x9e3779b97f4a7c15ULL * ++instance_seq);
+  return kRetryJitterSeed ^ (0x9e3779b97f4a7c15ULL * ++instance_seq);
 }
 
 /// The /skip/ control space is GET-only: exact endpoints plus the two
@@ -78,10 +105,10 @@ http::OriginPoolConfig SkipProxy::legacy_pool_config(const ProxyConfig& config,
   pool.name = "legacy";
   pool.max_conns_per_origin = config.max_legacy_conns_per_origin;
   pool.max_outstanding_per_conn = 1;  // browser-like: no pipelining
-  pool.idle_ttl = config.pool_idle_ttl;
+  pool.idle_ttl = kPoolIdleTtl;
   pool.queue_timeout = config.request_timeout;
-  pool.backoff_threshold = config.pool_backoff_threshold;
-  pool.backoff_cooldown = config.pool_backoff_cooldown;
+  pool.backoff_threshold = kPoolBackoffThreshold;
+  pool.backoff_cooldown = kPoolBackoffCooldown;
   pool.limiter = limiter;
   pool.deadline_shed = config.overload.enabled;
   return pool;
@@ -93,10 +120,10 @@ http::OriginPoolConfig SkipProxy::scion_pool_config(const ProxyConfig& config,
   pool.name = "scion";
   pool.max_conns_per_origin = 1;     // one QUIC connection per origin...
   pool.max_outstanding_per_conn = 0;  // ...multiplexing all requests
-  pool.idle_ttl = config.pool_idle_ttl;
+  pool.idle_ttl = kPoolIdleTtl;
   pool.queue_timeout = config.request_timeout;
-  pool.backoff_threshold = config.pool_backoff_threshold;
-  pool.backoff_cooldown = config.pool_backoff_cooldown;
+  pool.backoff_threshold = kPoolBackoffThreshold;
+  pool.backoff_cooldown = kPoolBackoffCooldown;
   pool.limiter = limiter;
   pool.deadline_shed = config.overload.enabled;
   return pool;
@@ -129,33 +156,31 @@ SkipProxy::SkipProxy(sim::Simulator& sim, net::Host& host, scion::ScionStack& st
                            : nullptr),
       collector_(config.collector != nullptr ? config.collector : owned_collector_.get()),
       slo_(*metrics_),
-      timeseries_(*metrics_, config.timeseries, sim.now()),
+      timeseries_(*metrics_, obs::TimeSeriesConfig{}, sim.now()),
       detector_(sim, resolver),
       selector_(daemon, metrics_),
-      breaker_(sim, CircuitBreakerConfig{config_.breaker_threshold, config_.breaker_open_ttl},
+      breaker_(sim,
+               CircuitBreakerConfig{.failure_threshold = config_.breaker_threshold,
+                                    .open_ttl = config_.breaker_open_ttl},
                metrics_),
-      identities_(sim, *metrics_, config_.identity_audit_cap),
-      retry_rng_(salted_jitter_seed(config_.retry_jitter_seed)),
+      identities_(sim, *metrics_),
+      retry_rng_(salted_jitter_seed()),
       overload_(sim, *metrics_, config_.overload),
-      legacy_limiter_("legacy", config_.legacy_aimd, *metrics_),
-      scion_limiter_("scion", config_.scion_aimd, *metrics_),
+      legacy_limiter_("legacy", kLegacyAimd, *metrics_),
+      scion_limiter_("scion", kScionAimd, *metrics_),
       legacy_pool_(sim, *metrics_,
-                   legacy_pool_config(config_, config_.overload.enabled &&
-                                                       config_.legacy_aimd.max_limit > 0
-                                                   ? &legacy_limiter_
-                                                   : nullptr)),
+                   legacy_pool_config(config_,
+                                      config_.overload.enabled ? &legacy_limiter_ : nullptr)),
       scion_pool_(sim, *metrics_,
-                  scion_pool_config(config_, config_.overload.enabled &&
-                                                     config_.scion_aimd.max_limit > 0
-                                                 ? &scion_limiter_
-                                                 : nullptr)) {
+                  scion_pool_config(config_,
+                                    config_.overload.enabled ? &scion_limiter_ : nullptr)) {
   legacy_limiter_.set_simulator(&scope_.simulator());
   scion_limiter_.set_simulator(&scope_.simulator());
   scmp_subscription_ = stack_.subscribe_scmp(
       [this](const scion::ScmpMessage& message) { on_scmp(message); });
-  std::vector<obs::SloObjective> objectives =
-      config_.slos.empty() ? obs::SloMonitor::default_proxy_objectives() : config_.slos;
-  for (obs::SloObjective& objective : objectives) slo_.add(std::move(objective));
+  for (obs::SloObjective& objective : obs::SloMonitor::default_proxy_objectives()) {
+    slo_.add(std::move(objective));
+  }
 }
 
 SkipProxy::~SkipProxy() {
@@ -232,7 +257,7 @@ void SkipProxy::fail_no_access(const RequestPtr& req, const std::string& host) {
   req->trace->set_outcome("fault");
   ProxyResult result;
   result.response = http::make_retry_after_response(
-      503, config_.strict_retry_after, "all access links down for " + host);
+      503, kStrictRetryAfter, "all access links down for " + host);
   finish(req, std::move(result));
 }
 
@@ -416,7 +441,7 @@ void SkipProxy::on_scmp(const scion::ScmpMessage& message) {
 
 void SkipProxy::rotate_identity(const std::string& id) {
   const std::string identity = sanitize_identity(id);
-  const auto released = identities_.rotate(identity, config_.identity_quarantine_ttl);
+  const auto released = identities_.rotate(identity, kIdentityQuarantineTtl);
   for (const auto& [origin, fingerprint] : released) {
     // No connection carrying a pre-rotation path may survive: retire the
     // identity's pooled SCION connections (in-flight fetches fail over to
@@ -812,7 +837,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
                                                      req](ResolvedHost host) mutable {
     if (req->done) return;
     req->trace->end("detect");
-    const bool scion_possible = host.scion.has_value() && config_.prefer_scion;
+    const bool scion_possible = host.scion.has_value();
     if (!scion_possible) {
       if (options.strict) {
         ProxyResult result;
@@ -966,16 +991,16 @@ Duration SkipProxy::deadline_margin(const ScionContext& ctx, const RequestState&
   // Opportunistic requests with a legacy address keep enough budget to
   // complete the fallback fetch; otherwise just enough slack that the
   // terminal 502/503 beats the 504 deadline timer.
-  if (!req.strict && ctx.fallback_ip.has_value()) return config_.fallback_margin;
+  if (!req.strict && ctx.fallback_ip.has_value()) return kFallbackMargin;
   return milliseconds(1);
 }
 
 Duration SkipProxy::retry_backoff(std::uint32_t attempt) {
-  Duration backoff = config_.retry_backoff_base;
+  Duration backoff = kRetryBackoffBase;
   for (std::uint32_t i = 1; i < attempt; ++i) {
-    backoff = backoff.scaled(config_.retry_backoff_factor);
+    backoff = backoff.scaled(kRetryBackoffFactor);
   }
-  return retry_rng_.jittered(backoff, config_.retry_jitter_frac);
+  return retry_rng_.jittered(backoff, kRetryJitterFrac);
 }
 
 bool SkipProxy::schedule_scion_retry(const ScionContextPtr& ctx, const RequestPtr& req) {
@@ -1004,7 +1029,7 @@ void SkipProxy::fail_strict_unavailable(const RequestPtr& req, const std::string
   ProxyResult result;
   result.transport = TransportUsed::kBlocked;
   result.response = http::make_retry_after_response(
-      503, config_.strict_retry_after,
+      503, kStrictRetryAfter,
       "strict mode: SCION temporarily unavailable for " + host + " (" + why + ")");
   finish(req, std::move(result));
 }
@@ -1219,7 +1244,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
   const bool can_fall_back = !req->strict && ctx->fallback_ip.has_value();
   Duration limit = Duration::zero();
   if (can_fall_back) {
-    limit = remaining - config_.fallback_margin;
+    limit = remaining - kFallbackMargin;
     if (config_.attempt_timeout > Duration::zero()) {
       limit = std::min(limit, config_.attempt_timeout);
     }
@@ -1274,7 +1299,7 @@ void SkipProxy::fetch_over_ip(const http::Url& url, http::HttpRequest request, n
             metrics_->counter("overload.shed_requests").inc();
             req->trace->set_outcome("shed");
             out.response = http::make_retry_after_response(
-                503, config_.overload.retry_after, "shed under load: " + result.error());
+                503, OverloadController::kRetryAfter, "shed under load: " + result.error());
           } else if (http::OriginPool::is_expired(result.error())) {
             metrics_->counter("proxy.timeouts").inc();
             req->trace->set_outcome("timeout");
@@ -1286,7 +1311,7 @@ void SkipProxy::fetch_over_ip(const http::Url& url, http::HttpRequest request, n
           } else if (http::OriginPool::is_fast_fail(result.error())) {
             req->trace->set_outcome("fault");
             out.response = http::make_retry_after_response(
-                503, config_.pool_backoff_cooldown, "origin unavailable: " + result.error());
+                503, kPoolBackoffCooldown, "origin unavailable: " + result.error());
           } else {
             req->trace->set_outcome("fault");
             out.response = synthetic_error(502, "legacy fetch failed: " + result.error());
@@ -1305,7 +1330,7 @@ void SkipProxy::fetch_over_ip(const http::Url& url, http::HttpRequest request, n
       },
       [this, ip, port = url.port, req]() {
         return std::make_unique<http::LegacyPooledConnection>(
-            host_for(req->access), net::Endpoint{ip, port}, config_.tcp);
+            host_for(req->access), net::Endpoint{ip, port}, http::default_tcp_config());
       });
 }
 

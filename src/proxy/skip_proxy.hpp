@@ -76,17 +76,8 @@ struct ProxyConfig {
   /// Per-request processing in the proxy itself.
   Duration processing_overhead = microseconds(150);
   Duration request_timeout = seconds(15);
-  /// Prefer SCION when available (the paper's opportunistic default).
-  bool prefer_scion = true;
   /// Max parallel legacy connections per origin (browser-like).
   std::size_t max_legacy_conns_per_origin = 6;
-  /// Idle pooled connections (legacy and SCION) are evicted after this long
-  /// (zero = keep forever).
-  Duration pool_idle_ttl = seconds(60);
-  /// Consecutive fetch failures against one origin before its pool trips a
-  /// cool-down during which requests fast-fail (zero disables backoff).
-  std::size_t pool_backoff_threshold = 3;
-  Duration pool_backoff_cooldown = seconds(5);
   /// How long an SCMP-revoked interface stays excluded from selection.
   Duration revocation_ttl = seconds(30);
 
@@ -94,36 +85,16 @@ struct ProxyConfig {
   /// Additional SCION attempts (re-select + fetch) after a failed one before
   /// giving up on SCION. 0 restores the old single-shot behaviour.
   std::size_t max_scion_retries = 2;
-  /// Exponential backoff between SCION attempts: base * factor^(attempt-1),
-  /// with deterministic +/- jitter so retries across requests decorrelate.
-  Duration retry_backoff_base = milliseconds(40);
-  double retry_backoff_factor = 2.0;
-  double retry_jitter_frac = 0.2;
-  std::uint64_t retry_jitter_seed = 0x5eed;
   /// Per-attempt cap: a SCION attempt still unresolved after this long is
   /// abandoned and treated as a failure (0 = bounded only by the deadline).
   Duration attempt_timeout = seconds(4);
-  /// Deadline budget reserved for the legacy fallback: opportunistic
-  /// requests with a legacy address stop retrying SCION early enough to
-  /// still complete over IP within the deadline.
-  Duration fallback_margin = seconds(2);
   /// Paths whose fetch failed are quarantined in the selector for this long
   /// (soft exclusion; 0 disables).
   Duration quarantine_ttl = seconds(10);
-  /// Retry-After advertised when strict mode exhausts its retries (503).
-  Duration strict_retry_after = seconds(1);
   /// Per-origin circuit breaker: consecutive SCION failures that open it
   /// (0 disables) and how long it rejects before a half-open probe.
   std::size_t breaker_threshold = 4;
   Duration breaker_open_ttl = seconds(5);
-
-  // --- per-identity isolation (X-Skip-Identity) ---
-  /// After rotate_identity(), the released fingerprints stay off-limits to
-  /// the rotating identity for this long so re-brokering lands on fresh
-  /// paths instead of trivially re-claiming the old ones.
-  Duration identity_quarantine_ttl = seconds(30);
-  /// Bounded per-identity audit-trail length (0 = unbounded).
-  std::size_t identity_audit_cap = 64;
 
   // --- multi-access (Socket-Intents-style access scheduling) ---
   /// Intent-aware access picks: latency-critical pinned to the fastest
@@ -144,12 +115,6 @@ struct ProxyConfig {
   /// turns off pool deadline shedding and the AIMD controllers, restoring
   /// the static behaviour for ablation runs.
   OverloadConfig overload;
-  /// Adaptive per-origin concurrency for the legacy pool (AIMD; max_limit 0
-  /// disables and keeps the static max_legacy_conns_per_origin cap).
-  AimdConfig legacy_aimd;
-  /// Same for the multiplexed SCION pool, whose outstanding requests were
-  /// previously unbounded.
-  AimdConfig scion_aimd = {.min_limit = 2, .max_limit = 64};
   /// Shared metrics registry. When null the proxy owns a private one; the
   /// figure benches inject a long-lived registry here so per-phase latency
   /// aggregates across per-trial proxies.
@@ -161,17 +126,9 @@ struct ProxyConfig {
   /// Head-sampling knobs for the owned collector (ignored when `collector`
   /// is injected — the injected collector keeps its own config).
   obs::CollectorConfig collector_config;
-  /// SLO objectives evaluated on the registry; empty installs
-  /// obs::SloMonitor::default_proxy_objectives().
-  std::vector<obs::SloObjective> slos;
-  /// Time-series delta snapshots over the registry (lazy sim-clock ticking;
-  /// see obs/timeseries.hpp). Queried via GET /skip/metrics?window=...;
-  /// interval <= 0 disables the store.
-  obs::TimeSeriesConfig timeseries;
   /// Value of the `instance` label stamped on /skip/metrics.prom series
   /// (empty = no label). The cluster sets each replica's name here.
   std::string prom_instance;
-  transport::TransportConfig tcp = http::default_tcp_config();
   transport::TransportConfig quic = http::default_quic_config();
 };
 
@@ -319,7 +276,7 @@ class SkipProxy {
   [[nodiscard]] ScionDetector& detector() { return detector_; }
   [[nodiscard]] PathSelector& selector() { return selector_; }
   [[nodiscard]] CircuitBreaker& breaker() { return breaker_; }
-  /// The retry-jitter stream. Effectively seeded by retry_jitter_seed XOR a
+  /// The retry-jitter stream. Effectively seeded by kRetryJitterSeed XOR a
   /// per-instance salt so fleet replicas sharing a config (and the default
   /// seed) do not retry in lockstep; exposed for the divergence regression.
   [[nodiscard]] Rng& retry_rng() { return retry_rng_; }

@@ -28,9 +28,6 @@
 namespace pan::scion {
 
 struct BorderRouterConfig {
-  bool verify_macs = true;
-  /// Per-packet header processing time.
-  Duration processing_delay = microseconds(5);
   /// When nonzero, hop fields whose expiry precedes this "current unix time"
   /// are rejected. (The simulator's beacon timestamps are synthetic, so the
   /// check is opt-in.)

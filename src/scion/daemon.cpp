@@ -9,16 +9,19 @@ namespace pan::scion {
 
 namespace {
 constexpr std::string_view kLog = "sciond";
-}
+/// Maximum candidate paths returned per destination.
+constexpr std::size_t kMaxPaths = 40;
+/// Cache entries expire after this long (re-query after).
+constexpr Duration kCacheTtl = seconds(300);
+}  // namespace
 
-Daemon::Daemon(sim::Simulator& sim, const PathServerInfra& infra, IsdAsn local_as,
-               DaemonConfig config)
-    : sim_(sim), infra_(infra), local_as_(local_as), config_(config) {}
+Daemon::Daemon(sim::Simulator& sim, const PathServerInfra& infra, IsdAsn local_as)
+    : sim_(sim), infra_(infra), local_as_(local_as) {}
 
 void Daemon::query(IsdAsn dst, sim::Scope& caller,
                    std::function<void(std::vector<Path>)> callback) {
   const auto it = cache_.find(dst);
-  if (it != cache_.end() && sim_.now() - it->second.fetched_at < config_.cache_ttl) {
+  if (it != cache_.end() && sim_.now() - it->second.fetched_at < kCacheTtl) {
     ++cache_hits_;
     callback(it->second.paths);
     return;
@@ -32,11 +35,11 @@ void Daemon::query(IsdAsn dst, sim::Scope& caller,
       return;
     }
     ++frozen_failures_;
-    caller.schedule_after(config_.lookup_latency, [cb = std::move(callback)] { cb({}); });
+    caller.schedule_after(kLookupLatency, [cb = std::move(callback)] { cb({}); });
     return;
   }
   ++cache_misses_;
-  caller.schedule_after(config_.lookup_latency, [this, dst, cb = std::move(callback)] {
+  caller.schedule_after(kLookupLatency, [this, dst, cb = std::move(callback)] {
     std::vector<Path> paths = combine(dst);
     cache_[dst] = CacheEntry{paths, sim_.now()};
     cb(std::move(paths));
@@ -141,7 +144,7 @@ std::vector<Path> Daemon::combine(IsdAsn dst) const {
     if (a.link_count() != b.link_count()) return a.link_count() < b.link_count();
     return a.fingerprint() < b.fingerprint();
   });
-  if (out.size() > config_.max_paths) out.resize(config_.max_paths);
+  if (out.size() > kMaxPaths) out.resize(kMaxPaths);
   return out;
 }
 

@@ -19,19 +19,12 @@
 
 namespace pan::scion {
 
-struct DaemonConfig {
-  /// Round trip to the local path service on a cache miss.
-  Duration lookup_latency = milliseconds(1);
-  /// Maximum candidate paths returned per destination.
-  std::size_t max_paths = 40;
-  /// Cache entries expire after this long (re-query after).
-  Duration cache_ttl = seconds(300);
-};
-
 class Daemon {
  public:
-  Daemon(sim::Simulator& sim, const PathServerInfra& infra, IsdAsn local_as,
-         DaemonConfig config = {});
+  /// Round trip to the local path service on a cache miss.
+  static constexpr Duration kLookupLatency = milliseconds(1);
+
+  Daemon(sim::Simulator& sim, const PathServerInfra& infra, IsdAsn local_as);
 
   [[nodiscard]] IsdAsn local_as() const { return local_as_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
@@ -72,7 +65,6 @@ class Daemon {
   sim::Simulator& sim_;
   const PathServerInfra& infra_;
   IsdAsn local_as_;
-  DaemonConfig config_;
   std::unordered_map<IsdAsn, CacheEntry> cache_;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;

@@ -60,23 +60,11 @@ struct TopologyConfig {
   bool sign_beacons = true;
   bool verify_beacons = true;
   std::uint32_t beacon_timestamp = 1'000'000;
-  std::uint32_t hop_expiry_s = 24 * 3600;
-  net::LinkParams host_access_link = {
-      .latency = microseconds(200),
-      .bandwidth_bps = 1e9,
-      .loss_rate = 0.0,
-      .mtu = 1500,
-  };
-  DaemonConfig daemon;
   BorderRouterConfig border_router;
   /// When set, finalize() pre-registers a `router.<ia>.forward_latency`
   /// histogram per AS and wires it into that AS's border router, so hop-path
   /// recording never allocates (the registry lookup happens once, here).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Legacy route weight: AS hop count (BGP-like). When true, adds the link
-  /// latency in ms as a secondary component (used by ablation benches to
-  /// model a latency-aware IGP instead).
-  bool legacy_latency_weight = false;
 };
 
 /// Opaque host handle.

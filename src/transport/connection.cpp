@@ -11,6 +11,16 @@ namespace {
 constexpr std::string_view kLog = "transport";
 /// Reserved bytes so an ACK frame can always piggyback on a data packet.
 constexpr std::size_t kAckReserve = 2 + kMaxAckRanges * 16;
+/// Congestion window at start (and after an idle or migration reset), and
+/// its floor after a loss, in MSS-sized packets.
+constexpr std::size_t kInitialCwndPackets = 10;
+constexpr std::size_t kMinCwndPackets = 2;
+/// RTT estimate before the first sample.
+constexpr Duration kInitialRtt = milliseconds(100);
+/// Longest an ack-eliciting packet waits for its delayed ACK.
+constexpr Duration kMaxAckDelay = milliseconds(25);
+/// Packet-number gap after which an unacked packet counts as lost.
+constexpr std::uint64_t kReorderThreshold = 3;
 }  // namespace
 
 // ---------------------------------------------------------------- Stream --
@@ -126,8 +136,8 @@ Connection::Connection(sim::Simulator& sim, Conduit conduit, Role role, std::uin
       config_(std::move(config)),
       next_local_stream_(role == Role::kClient ? 0 : 1),
       peer_next_(role == Role::kClient ? 1 : 0),
-      rtt_(config_.initial_rtt),
-      cwnd_(config_.initial_cwnd_packets * 1200),
+      rtt_(kInitialRtt),
+      cwnd_(kInitialCwndPackets * 1200),
       ssthresh_(SIZE_MAX),
       ack_timer_(sim, [this] { maybe_send_pure_ack(); }),
       pto_timer_(sim, [this] { on_pto(); }),
@@ -274,9 +284,9 @@ void Connection::on_path_migrated() {
   // old path's state (including an ssthresh crushed by blackhole PTOs) says
   // nothing about the new path.
   pto_count_ = 0;
-  cwnd_ = config_.initial_cwnd_packets * 1200;
+  cwnd_ = kInitialCwndPackets * 1200;
   ssthresh_ = SIZE_MAX;
-  rtt_.reset(config_.initial_rtt);
+  rtt_.reset(kInitialRtt);
   loss_recovery_end_pn_ = next_pn_;
   retransmit_all_outstanding();
 }
@@ -370,7 +380,7 @@ void Connection::process_ack(const AckFrame& ack) {
         }
       }
       it = in_flight_.erase(it);
-    } else if (pn + config_.reorder_threshold <= ack.largest()) {
+    } else if (pn + kReorderThreshold <= ack.largest()) {
       lost.push_back(pn);
       ++it;
     } else {
@@ -401,7 +411,7 @@ void Connection::process_ack(const AckFrame& ack) {
 void Connection::on_loss_event(std::uint64_t pn) {
   if (pn < loss_recovery_end_pn_) return;  // already reacted this window
   loss_recovery_end_pn_ = next_pn_;
-  ssthresh_ = std::max(cwnd_ / 2, config_.min_cwnd_packets * mss());
+  ssthresh_ = std::max(cwnd_ / 2, kMinCwndPackets * mss());
   cwnd_ = ssthresh_;
 }
 
@@ -465,8 +475,8 @@ void Connection::on_pto() {
   ++stats_.pto_fired;
   ++pto_count_;
   // RTO semantics: collapse the window, then go-back-n.
-  ssthresh_ = std::max(cwnd_ / 2, config_.min_cwnd_packets * mss());
-  cwnd_ = config_.min_cwnd_packets * mss();
+  ssthresh_ = std::max(cwnd_ / 2, kMinCwndPackets * mss());
+  cwnd_ = kMinCwndPackets * mss();
   loss_recovery_end_pn_ = next_pn_;
   retransmit_all_outstanding();
 }
@@ -509,7 +519,7 @@ void Connection::on_keep_alive() {
 }
 
 Duration Connection::pto_interval() const {
-  Duration base = rtt_.srtt() + Duration{4 * rtt_.rttvar().nanos()} + config_.max_ack_delay;
+  Duration base = rtt_.srtt() + Duration{4 * rtt_.rttvar().nanos()} + kMaxAckDelay;
   for (std::uint32_t i = 0; i < pto_count_ && i < 8; ++i) base = base * 2;
   return base;
 }
@@ -559,7 +569,7 @@ void Connection::record_received(std::uint64_t pn, bool ack_eliciting) {
     if (ack_eliciting_since_ack_ >= 2) {
       maybe_send_pure_ack();
     } else {
-      ack_timer_.arm_if_idle(config_.max_ack_delay);
+      ack_timer_.arm_if_idle(kMaxAckDelay);
     }
   }
 }

@@ -48,11 +48,6 @@ struct Conduit {
 struct TransportConfig {
   TransportKind kind = TransportKind::kQuicLite;
   std::string alpn = "http/1.1";
-  std::size_t initial_cwnd_packets = 10;
-  std::size_t min_cwnd_packets = 2;
-  Duration initial_rtt = milliseconds(100);
-  Duration max_ack_delay = milliseconds(25);
-  std::uint64_t reorder_threshold = 3;
   Duration idle_timeout = seconds(30);
   /// Additional handshake round trips before the connection is established
   /// (0 = QUIC-style 1-RTT; 1 emulates TLS-1.3-over-TCP's extra RTT).

@@ -349,6 +349,27 @@ TEST(CacheTest, ChangedContentRefetches) {
   EXPECT_EQ(second.resources[0].status, 200);
   EXPECT_EQ(second.resources[0].bytes, 10u);
   EXPECT_EQ(fs.revalidations(), 0u);
+
+  // Same length, different bytes: the server's memoized ETag must not
+  // survive the replacement, so revalidating with the old one gets a 200.
+  const std::string old_etag = "\"" + http::etag_of(from_string("version-2!")) + "\"";
+  fs.add_text("/data", "version-3!");
+  const PageLoadResult third = session.load("http://tcpip-fs.local/data");
+  ASSERT_TRUE(third.ok);
+  EXPECT_FALSE(third.resources[0].from_cache);
+  EXPECT_EQ(third.resources[0].status, 200);
+  EXPECT_EQ(third.resources[0].bytes, 10u);
+  EXPECT_EQ(fs.revalidations(), 0u);
+
+  http::HttpRequest revalidate;
+  revalidate.target = "/data";
+  revalidate.headers.set("If-None-Match", old_etag);
+  http::HttpResponse got;
+  fs.handler()(revalidate, [&](http::HttpResponse r) { got = std::move(r); });
+  world->sim().run_until(world->sim().now() + seconds(1));
+  EXPECT_EQ(got.status, 200);
+  EXPECT_EQ(to_string_view_copy(got.body), "version-3!");
+  EXPECT_EQ(fs.revalidations(), 0u);
 }
 
 TEST(CacheTest, DisabledByDefault) {

@@ -223,9 +223,9 @@ TEST(Fleet, HungReplicaIsHedgedAroundWithinDeadline) {
       fix.fetch_with("http://scion-fs.local/", /*strict=*/true, start + seconds(2));
   EXPECT_EQ(result.response.status, 200);
   EXPECT_EQ(result.transport, proxy::TransportUsed::kScion);
-  // The hedge waited out failover_timeout on the wedged owner, then won well
+  // The hedge waited out kFailoverTimeout on the wedged owner, then won well
   // inside the deadline.
-  EXPECT_GE(fix.sim().now(), start + cluster.config().failover_timeout);
+  EXPECT_GE(fix.sim().now(), start + proxy::ProxyCluster::kFailoverTimeout);
   EXPECT_LE(fix.sim().now(), start + seconds(2));
   EXPECT_GE(cluster.stats().failovers, 1u);
 }
@@ -238,7 +238,7 @@ TEST(Fleet, HungReplicaGoesDownViaProbesThenRecovers) {
   const std::string victim = cluster.replica_names()[0];
 
   cluster.set_replica_hung(victim, true);
-  // probe_miss_down=3 at 250ms probe spacing (+200ms timeout) => down well
+  // kProbeMissDown=3 at 250ms probe spacing (+200ms timeout) => down well
   // inside 2s.
   fix.sim().run_until(fix.sim().now() + seconds(2));
   EXPECT_EQ(cluster.replica_health(victim), proxy::ReplicaHealth::kDown);
@@ -272,8 +272,8 @@ TEST(Fleet, DrainIsStickyThenHandsOff) {
     EXPECT_NE(cluster.owner_of("fresh-" + std::to_string(i) + ".example"), owner);
   }
 
-  // After drain_grace ownership is handed off.
-  fix.sim().run_until(fix.sim().now() + cluster.config().drain_grace + milliseconds(100));
+  // After kDrainGrace ownership is handed off.
+  fix.sim().run_until(fix.sim().now() + proxy::ProxyCluster::kDrainGrace + milliseconds(100));
   const std::string successor = cluster.owner_of("scion-fs.local");
   EXPECT_FALSE(successor.empty());
   EXPECT_NE(successor, owner);
@@ -563,7 +563,7 @@ TEST(Fleet, RetryJitterStreamsDivergeAcrossReplicas) {
 TEST(Fleet, HangAfterWarmTrafficIsHedgedAtTheMeasuredAnswerTime) {
   FleetFixture fix;
   proxy::ProxyCluster& cluster = fix.cluster();
-  const Duration cap = cluster.config().failover_timeout;
+  const Duration cap = proxy::ProxyCluster::kFailoverTimeout;
   // Nothing answered yet: the hedge waits the configured cap.
   EXPECT_EQ(cluster.hedge_delay("scion-fs.local"), cap);
 
@@ -626,7 +626,7 @@ TEST(Fleet, OverdueReplicaTakesNoNewWorkUntilItAnswers) {
   const proxy::ClusterConfig& config = cluster.config();
   ASSERT_TRUE(fix.sim().run_until_condition(
       [&] { return cluster.owner_of("scion-fs.local") == owner; },
-      fix.sim().now() + config.probe_interval + config.probe_timeout));
+      fix.sim().now() + config.probe_interval + proxy::ProxyCluster::kProbeTimeout));
   EXPECT_EQ(overdue_replicas(cluster), 0u);
   EXPECT_EQ(fix.fetch("http://scion-fs.local/", /*strict=*/true).response.status, 200);
   EXPECT_EQ(dispatched_to(cluster, owner), owner_dispatched + 1);
@@ -641,7 +641,7 @@ TEST(Fleet, EquallySlowReplicasDoNotHedgeStorm) {
   fix.warm_up(warm);
   const std::string owner = cluster.owner_of("scion-fs.local");
   const Duration delay = cluster.hedge_delay("scion-fs.local");
-  const std::size_t max_failovers = cluster.config().max_failovers;
+  const std::size_t max_failovers = proxy::ProxyCluster::kMaxFailovers;
 
   // The origin's access link slows down: every replica is equally slow now,
   // so a hedge cannot help and must not multiply the load.

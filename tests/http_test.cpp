@@ -334,6 +334,34 @@ TEST(FileServerTest, BlobsAreDeterministicAndDistinct) {
   EXPECT_NE(a1, b);
 }
 
+TEST(FileServerTest, ETagIsTheQuotedBodyDigestOn200And304) {
+  sim::Simulator sim;
+  FileServer fs(sim);
+  fs.add_blob("/blob", 3000);
+  auto handler = fs.handler();
+  HttpRequest req;
+  req.target = "/blob";
+  std::vector<HttpResponse> got;
+  const auto collect = [&](HttpResponse r) { got.push_back(std::move(r)); };
+  handler(req, collect);
+  handler(req, collect);  // second 200 serves the memoized value
+  sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  const std::string expected = "\"" + etag_of(got[0].body) + "\"";
+  for (const HttpResponse& response : got) {
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.headers.get("ETag"), expected);
+  }
+
+  req.headers.set("If-None-Match", expected);
+  handler(req, collect);
+  sim.run();
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[2].status, 304);
+  EXPECT_EQ(got[2].headers.get("ETag"), expected);
+  EXPECT_EQ(fs.revalidations(), 1u);
+}
+
 TEST(FileServerTest, ThinkTimeDelaysResponse) {
   sim::Simulator sim;
   FileServer fs(sim);

@@ -318,7 +318,7 @@ TEST(DaemonTest, AsyncQueryCachesAndCostsLatency) {
   daemon.query(fx.ia("d"), scope, [&](std::vector<Path> paths) {
     EXPECT_FALSE(paths.empty());
     first_done = true;
-    EXPECT_EQ((fx.sim.now() - t0).nanos(), fx.config.daemon.lookup_latency.nanos());
+    EXPECT_EQ((fx.sim.now() - t0).nanos(), Daemon::kLookupLatency.nanos());
   });
   fx.sim.run();
   EXPECT_TRUE(first_done);
