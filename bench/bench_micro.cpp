@@ -9,6 +9,7 @@
 #include "core/layer_model.hpp"
 #include "crypto/sha256_kernels.hpp"
 #include "crypto/signature.hpp"
+#include "http/file_server.hpp"
 #include "net/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -36,6 +37,36 @@ void BM_Sha256(benchmark::State& state) {
   state.counters["hw_kernel"] = benchmark::Counter(hardware ? 1.0 : 0.0);
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+// One 32-byte Lamport preimage hashed through Sha256, as key generation and
+// verification did, and as one pre-padded block (crypto::sha256_32).
+void BM_Sha256Preimage(benchmark::State& state) {
+  crypto::Digest digest{};
+  for (auto _ : state) {
+    digest = crypto::sha256(std::span<const std::uint8_t>(digest));
+    benchmark::DoNotOptimize(digest);
+  }
+}
+BENCHMARK(BM_Sha256Preimage);
+
+void BM_Sha256OneBlock32(benchmark::State& state) {
+  crypto::Digest digest{};
+  for (auto _ : state) {
+    digest = crypto::sha256_32(digest);
+    benchmark::DoNotOptimize(digest);
+  }
+}
+BENCHMARK(BM_Sha256OneBlock32);
+
+// A perfbench page resource: 30,000 bytes of generated body.
+void BM_GenerateBlob(benchmark::State& state) {
+  std::uint64_t tag = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(http::generate_blob(static_cast<std::size_t>(state.range(0)), ++tag));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_GenerateBlob)->Arg(30'000);
 
 void BM_HopFieldMac(benchmark::State& state) {
   const scion::ForwardingKey key(16, 0x42);

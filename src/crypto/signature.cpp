@@ -25,12 +25,10 @@ bool digest_bit(const Digest& d, std::size_t bit) {
 }  // namespace
 
 Digest PublicKey::fingerprint() const {
-  Sha256 h;
-  for (const auto& pair : hashes) {
-    h.update(std::span<const std::uint8_t>(pair[0]));
-    h.update(std::span<const std::uint8_t>(pair[1]));
-  }
-  return h.finalize();
+  // The pairs are contiguous in order (arrays of bytes have no padding), so
+  // one update hashes the same bytes as one per digest.
+  static_assert(sizeof(hashes) == kSignatureBits * 2 * kSha256DigestSize);
+  return sha256(std::span<const std::uint8_t>(hashes.front().front().data(), sizeof(hashes)));
 }
 
 Bytes Signature::serialize() const {
@@ -59,15 +57,17 @@ KeyPair generate_keypair(Rng& rng) {
   for (std::size_t i = 0; i < kSignatureBits; ++i) {
     for (std::size_t b = 0; b < 2; ++b) {
       kp.private_key.secrets[i][b] = random_digest(rng);
-      kp.public_key.hashes[i][b] =
-          sha256(std::span<const std::uint8_t>(kp.private_key.secrets[i][b]));
+      kp.public_key.hashes[i][b] = sha256_32(kp.private_key.secrets[i][b]);
     }
   }
   return kp;
 }
 
 Signature sign(const PrivateKey& key, std::span<const std::uint8_t> message) {
-  const Digest msg_digest = sha256(message);
+  return sign_digest(key, sha256(message));
+}
+
+Signature sign_digest(const PrivateKey& key, const Digest& msg_digest) {
   Signature sig;
   for (std::size_t i = 0; i < kSignatureBits; ++i) {
     sig.revealed[i] = key.secrets[i][digest_bit(msg_digest, i) ? 1 : 0];
@@ -87,7 +87,7 @@ const Digest& PreimageCache::hash_of(const Digest& preimage) {
     return it->second;
   }
   ++misses_;
-  return cache_.emplace(preimage, sha256(std::span<const std::uint8_t>(preimage))).first->second;
+  return cache_.emplace(preimage, sha256_32(preimage)).first->second;
 }
 
 bool verify(const PublicKey& key, std::span<const std::uint8_t> message, const Signature& sig) {
@@ -96,23 +96,15 @@ bool verify(const PublicKey& key, std::span<const std::uint8_t> message, const S
 
 bool verify(const PublicKey& key, std::span<const std::uint8_t> message, const Signature& sig,
             PreimageCache* cache) {
-  const Digest msg_digest = sha256(message);
-  for (std::size_t i = 0; i < kSignatureBits; ++i) {
-    const Digest hashed =
-        cache != nullptr ? cache->hash_of(sig.revealed[i])
-                         : sha256(std::span<const std::uint8_t>(sig.revealed[i]));
-    const auto expected = key.hashes[i][digest_bit(msg_digest, i) ? 1 : 0];
-    if (hashed != expected) return false;
-  }
-  return true;
+  return verify_digest(key, sha256(message), sig, cache);
 }
 
-bool verify_batch(std::span<const VerifyJob> jobs, PreimageCache* cache) {
-  for (const VerifyJob& job : jobs) {
-    if (job.key == nullptr || job.sig == nullptr) return false;
-    if (!verify(*job.key, std::span<const std::uint8_t>(job.message), *job.sig, cache)) {
-      return false;
-    }
+bool verify_digest(const PublicKey& key, const Digest& msg_digest, const Signature& sig,
+                   PreimageCache* cache) {
+  for (std::size_t i = 0; i < kSignatureBits; ++i) {
+    const Digest hashed =
+        cache != nullptr ? cache->hash_of(sig.revealed[i]) : sha256_32(sig.revealed[i]);
+    if (hashed != key.hashes[i][digest_bit(msg_digest, i) ? 1 : 0]) return false;
   }
   return true;
 }

@@ -60,6 +60,10 @@ struct KeyPair {
 
 [[nodiscard]] Signature sign(const PrivateKey& key, std::span<const std::uint8_t> message);
 [[nodiscard]] Signature sign(const PrivateKey& key, std::string_view message);
+/// Signs a message already hashed: sign(key, m) is
+/// sign_digest(key, sha256(m)). For signers that hash their message in a
+/// running pass (scion::SegmentHasher).
+[[nodiscard]] Signature sign_digest(const PrivateKey& key, const Digest& message_digest);
 
 /// Hasher for Digest keys in unordered containers (digests are uniformly
 /// distributed, so the first machine word is already a good hash).
@@ -101,19 +105,9 @@ class PreimageCache {
 /// plain path).
 [[nodiscard]] bool verify(const PublicKey& key, std::span<const std::uint8_t> message,
                           const Signature& sig, PreimageCache* cache);
-
-/// One unit of work for verify_batch. `key` and `sig` are borrowed; the
-/// message bytes are owned so callers can batch inputs built on the fly
-/// (e.g. PathSegment::signing_input).
-struct VerifyJob {
-  const PublicKey* key = nullptr;
-  Bytes message;
-  const Signature* sig = nullptr;
-};
-
-/// Verifies a batch of signatures sharing one preimage cache, short-
-/// circuiting on the first failure. Returns true iff every job verifies.
-/// With a warm cache (reused keys), throughput approaches memcmp speed.
-[[nodiscard]] bool verify_batch(std::span<const VerifyJob> jobs, PreimageCache* cache = nullptr);
+/// Verifies against a message already hashed: verify(key, m, sig, cache) is
+/// verify_digest(key, sha256(m), sig, cache).
+[[nodiscard]] bool verify_digest(const PublicKey& key, const Digest& message_digest,
+                                 const Signature& sig, PreimageCache* cache = nullptr);
 
 }  // namespace pan::crypto

@@ -46,6 +46,10 @@ class ReverseProxy {
   /// is at max_backend_conns, further requests pipeline onto the
   /// least-outstanding live connection.
   [[nodiscard]] http::OriginPool& backend_pool() { return backend_pool_; }
+  /// This hop's instruments: the backend pool's `pool.revproxy.backend.*`
+  /// counters and gauges, the `revproxy.backend` AIMD window, and
+  /// `revproxy.overload.shed_requests`.
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   /// Span-id hop prefix for this process (the client process mints under

@@ -111,16 +111,17 @@ void Topology::register_beacon(const std::vector<BeaconHop>& hops, SegmentType t
     // topology (same timestamp) rebuilds byte-identical segments, so their
     // signatures need no re-verification. Any change — new timestamp, new
     // metadata, tampering — alters the digest and forces a fresh verify.
-    const crypto::Digest digest = segment.content_digest();
-    if (verified_segments_.contains(digest)) {
+    // One pass over the segment yields the memo key and the signing digests.
+    const SegmentDigests digests = digest_segment(segment);
+    if (verified_segments_.contains(digests.content)) {
       ++beacon_memo_hits_;
     } else {
       ++beacon_verifications_;
-      if (!verify_segment(segment, trust_, &beacon_preimages_)) {
+      if (!verify_segment(segment, digests.signing, trust_, &beacon_preimages_)) {
         PAN_ERROR(kLog) << "freshly built segment failed verification: " << segment.id();
         return;
       }
-      verified_segments_.insert(digest);
+      verified_segments_.insert(digests.content);
     }
   }
   infra_.register_segment(std::move(segment));
@@ -133,6 +134,7 @@ PathSegment Topology::build_segment(const std::vector<BeaconHop>& hops,
   segment.origin = ases_[hops.front().as_index].spec.ia;
   segment.origin_ts = config_.beacon_timestamp;
   segment.entries.reserve(hops.size());
+  SegmentHasher hasher(segment);
 
   for (const BeaconHop& hop : hops) {
     const AsState& as = ases_[hop.as_index];
@@ -171,10 +173,11 @@ PathSegment Topology::build_segment(const std::vector<BeaconHop>& hops,
     }
     segment.entries.push_back(std::move(entry));
     if (config_.sign_beacons) {
-      const std::size_t index = segment.entries.size() - 1;
-      const Bytes input = segment.signing_input(index);
-      segment.entries.back().signature =
-          crypto::sign(as.keypair.private_key, std::span<const std::uint8_t>(input));
+      AsEntry& added = segment.entries.back();
+      added.signature = crypto::sign_digest(as.keypair.private_key, hasher.absorb_body(added));
+      // The next entry signs over this signature; the last one is covered
+      // by none.
+      if (&hop != &hops.back()) hasher.absorb_signature(added.signature);
     }
   }
   return segment;

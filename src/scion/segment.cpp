@@ -24,7 +24,9 @@ void write_as_meta(ByteWriter& w, const AsMeta& m) {
   w.u64(static_cast<std::uint64_t>(m.internal_co2_g_per_gb * 1e3));
 }
 
-void write_entry(ByteWriter& w, const AsEntry& entry, bool include_signature) {
+}  // namespace
+
+void write_entry_body(ByteWriter& w, const AsEntry& entry) {
   serialize_hop_field(w, entry.hop);
   write_link_meta(w, entry.ingress_link);
   write_as_meta(w, entry.as_meta);
@@ -35,13 +37,7 @@ void write_entry(ByteWriter& w, const AsEntry& entry, bool include_signature) {
     w.u16(peer.peer_if);
     write_link_meta(w, peer.peer_link);
   }
-  if (include_signature) {
-    const Bytes sig = entry.signature.serialize();
-    w.lp_bytes(sig);
-  }
 }
-
-}  // namespace
 
 const char* to_string(SegmentType t) {
   switch (t) {
@@ -66,44 +62,65 @@ std::string PathSegment::id() const {
   return crypto::hex_digest(h.finalize()).substr(0, 16);
 }
 
-crypto::Digest PathSegment::content_digest() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(origin.packed());
-  w.u32(origin_ts);
-  for (const AsEntry& entry : entries) {
-    write_entry(w, entry, /*include_signature=*/true);
-  }
-  return crypto::sha256(std::span<const std::uint8_t>(w.bytes()));
+SegmentHasher::SegmentHasher(const PathSegment& segment) {
+  body_.u8(static_cast<std::uint8_t>(segment.type));
+  body_.u64(segment.origin.packed());
+  body_.u32(segment.origin_ts);
+  sha_.update(std::span<const std::uint8_t>(body_.bytes()));
 }
 
-Bytes PathSegment::signing_input(std::size_t index) const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(origin.packed());
-  w.u32(origin_ts);
-  for (std::size_t i = 0; i < index && i < entries.size(); ++i) {
-    write_entry(w, entries[i], /*include_signature=*/true);
+crypto::Digest SegmentHasher::absorb_body(const AsEntry& entry) {
+  body_.clear();
+  write_entry_body(body_, entry);
+  sha_.update(std::span<const std::uint8_t>(body_.bytes()));
+  return digest();
+}
+
+void SegmentHasher::absorb_signature(const crypto::Signature& sig) {
+  // The bytes ByteWriter::lp_bytes(sig.serialize()) writes, hashed straight
+  // from the preimage array (contiguous, no padding) with no 8 KB copy.
+  static_assert(sizeof(sig.revealed) == crypto::kSignatureBits * crypto::kSha256DigestSize);
+  const std::uint8_t length[2] = {static_cast<std::uint8_t>(sizeof(sig.revealed) >> 8),
+                                  static_cast<std::uint8_t>(sizeof(sig.revealed))};
+  sha_.update(std::span<const std::uint8_t>(length));
+  sha_.update(std::span<const std::uint8_t>(sig.revealed.front().data(), sizeof(sig.revealed)));
+}
+
+crypto::Digest SegmentHasher::digest() const {
+  crypto::Sha256 fork = sha_;
+  return fork.finalize();
+}
+
+SegmentDigests digest_segment(const PathSegment& segment) {
+  SegmentDigests out;
+  out.signing.reserve(segment.entries.size());
+  SegmentHasher hasher(segment);
+  for (const AsEntry& entry : segment.entries) {
+    out.signing.push_back(hasher.absorb_body(entry));
+    hasher.absorb_signature(entry.signature);
   }
-  if (index < entries.size()) {
-    write_entry(w, entries[index], /*include_signature=*/false);
+  out.content = hasher.digest();
+  return out;
+}
+
+bool verify_segment(const PathSegment& segment, std::span<const crypto::Digest> signing_digests,
+                    const TrustStore& trust, crypto::PreimageCache* cache) {
+  if (segment.entries.empty() || signing_digests.size() != segment.entries.size()) return false;
+  if (segment.origin != segment.entries.front().hop.isd_as) return false;
+  for (std::size_t i = 0; i < segment.entries.size(); ++i) {
+    const AsEntry& entry = segment.entries[i];
+    const crypto::PublicKey* key = trust.verified_key(entry.hop.isd_as);
+    if (key == nullptr ||
+        !crypto::verify_digest(*key, signing_digests[i], entry.signature, cache)) {
+      return false;
+    }
   }
-  return std::move(w).take();
+  return true;
 }
 
 bool verify_segment(const PathSegment& segment, const TrustStore& trust,
                     crypto::PreimageCache* cache) {
-  if (segment.entries.empty()) return false;
-  if (segment.origin != segment.entries.front().hop.isd_as) return false;
-  std::vector<crypto::VerifyJob> jobs;
-  jobs.reserve(segment.entries.size());
-  for (std::size_t i = 0; i < segment.entries.size(); ++i) {
-    const AsEntry& entry = segment.entries[i];
-    const crypto::PublicKey* key = trust.verified_key(entry.hop.isd_as);
-    if (key == nullptr) return false;
-    jobs.push_back(crypto::VerifyJob{key, segment.signing_input(i), &entry.signature});
-  }
-  return crypto::verify_batch(jobs, cache);
+  return verify_segment(segment, digest_segment(segment).signing, trust, cache);
 }
 
 }  // namespace pan::scion

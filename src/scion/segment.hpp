@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,25 +64,61 @@ struct PathSegment {
 
   /// Stable identifier: hash over the AS/interface sequence.
   [[nodiscard]] std::string id() const;
-
-  /// Full-content digest covering every field *including signatures* —
-  /// unlike id(), two segments share a content_digest() only if they are
-  /// byte-identical on the wire. This is the key for verified-segment
-  /// memos: a re-signed or tampered variant of the same AS path digests
-  /// differently and therefore cannot hit a stale memo entry.
-  [[nodiscard]] crypto::Digest content_digest() const;
-
-  /// Bytes signed by entry `index`: segment info, all previous entries
-  /// (including their signatures, forming the chain), and entry `index`
-  /// itself without its signature.
-  [[nodiscard]] Bytes signing_input(std::size_t index) const;
 };
 
+/// Writes an entry's wire bytes without its signature: hop field, ingress
+/// link and AS metadata, peering entries. On the wire each entry is these
+/// bytes followed by its signature as a u16-length-prefixed blob.
+void write_entry_body(ByteWriter& w, const AsEntry& entry);
+
+/// Running SHA-256 over a segment's wire bytes, fed in wire order: the
+/// segment info (type, origin, timestamp), then each entry's body and its
+/// signature. The digest right after an entry's body is what that entry
+/// signs: the segment info, every previous entry with its signature (the
+/// chain a downstream AS cannot rewrite), and the entry itself. The digest
+/// after the last signature is the segment's content digest.
+class SegmentHasher {
+ public:
+  /// Absorbs `segment`'s info; its entries are not read.
+  explicit SegmentHasher(const PathSegment& segment);
+
+  /// Absorbs `entry` without its signature and returns the digest that the
+  /// entry's signature signs.
+  [[nodiscard]] crypto::Digest absorb_body(const AsEntry& entry);
+  /// Absorbs a signature as the wire carries it (length, then preimages).
+  void absorb_signature(const crypto::Signature& sig);
+  /// The digest of everything absorbed so far.
+  [[nodiscard]] crypto::Digest digest() const;
+
+ private:
+  crypto::Sha256 sha_;
+  ByteWriter body_;  // reused across entries
+};
+
+/// What one SegmentHasher pass over a whole segment yields.
+struct SegmentDigests {
+  /// signing[i] is the digest entries[i].signature signs.
+  std::vector<crypto::Digest> signing;
+  /// Full-content digest covering every field *including signatures*:
+  /// unlike id(), two segments share it only if they are byte-identical on
+  /// the wire. This is the key for verified-segment memos: a re-signed or
+  /// tampered variant of the same AS path digests differently and therefore
+  /// cannot hit a stale memo entry.
+  crypto::Digest content{};
+};
+
+[[nodiscard]] SegmentDigests digest_segment(const PathSegment& segment);
+
 /// Verifies every entry's signature against chain-validated AS certificates
-/// from `trust`. Returns false if any key is missing/invalid or any
-/// signature fails. Verification runs as one crypto::verify_batch; pass a
-/// PreimageCache to amortize preimage hashing across segments signed by the
-/// same (reused) keys.
+/// from `trust`, given the segment's signing digests (digest_segment).
+/// Returns false if any key is missing/invalid or any signature fails. Pass
+/// a PreimageCache to amortize preimage hashing across segments signed by
+/// the same (reused) keys.
+[[nodiscard]] bool verify_segment(const PathSegment& segment,
+                                  std::span<const crypto::Digest> signing_digests,
+                                  const TrustStore& trust, crypto::PreimageCache* cache = nullptr);
+
+/// The same, hashing the segment in one pass first.
 [[nodiscard]] bool verify_segment(const PathSegment& segment, const TrustStore& trust,
                                   crypto::PreimageCache* cache = nullptr);
 

@@ -47,6 +47,8 @@ class ByteWriter {
   void lp_bytes(std::span<const std::uint8_t> data);
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Empties the buffer, keeping its capacity for the next writes.
+  void clear() { buf_.clear(); }
   [[nodiscard]] const Bytes& bytes() const& { return buf_; }
   [[nodiscard]] Bytes take() && { return std::move(buf_); }
 

@@ -5,9 +5,35 @@
 
 #include "core/layer_model.hpp"
 #include "core/scenarios.hpp"
+#include "crypto/sha256.hpp"
+#include "support/segment_oracle.hpp"
 
 namespace pan::browser {
 namespace {
+
+// ----------------------------------------------------------------- setup --
+
+TEST(RemoteWorldSetupTest, Sha256BlockCountAtSeed1) {
+  // A deterministic work count for world construction: key generation,
+  // certificates and beacon signing and verification are almost all of it.
+  // Rebuilding every earlier entry per signing input cost 22,226 blocks.
+  WorldConfig config;
+  config.seed = 1;
+  const std::uint64_t before = crypto::sha256_blocks();
+  const std::unique_ptr<World> world = make_remote_world(config);
+  EXPECT_EQ(crypto::sha256_blocks() - before, 17'752u);
+}
+
+TEST(RemoteWorldSetupTest, SegmentDigestsMatchOracle) {
+  WorldConfig config;
+  config.seed = 1;
+  const std::unique_ptr<World> world = make_remote_world(config);
+  const auto segments = testsupport::all_segments(world->topology());
+  ASSERT_FALSE(segments.empty());
+  for (const scion::PathSegment* seg : segments) {
+    EXPECT_EQ(testsupport::oracle_mismatch(*seg), "");
+  }
+}
 
 // ------------------------------------------------------------------ page --
 

@@ -154,6 +154,62 @@ TEST(Sha256KernelTest, SelectedKernelIsHardwareWhenPresent) {
   EXPECT_EQ(kernels::selected(), expected);
 }
 
+/// Checks `hash` against sha256(span) on 10k random 32-byte inputs.
+void expect_hash32_matches_span(kernels::Hash32 hash) {
+  Rng rng(20221115);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    Digest input{};
+    for (std::uint8_t& byte : input) byte = static_cast<std::uint8_t>(rng.next_u64());
+    Digest out{};
+    hash(input.data(), out.data());
+    ASSERT_EQ(out, sha256(std::span<const std::uint8_t>(input))) << "trial " << trial;
+  }
+}
+
+TEST(Sha256KernelTest, Portable32MatchesSpanHashOnRandomInputs) {
+  expect_hash32_matches_span(kernels::portable_32);
+}
+
+TEST(Sha256KernelTest, Hardware32MatchesSpanHashOnRandomInputs) {
+  if (kernels::hardware_32() == nullptr) {
+    GTEST_SKIP() << "no SHA-extensions kernel on this build or CPU; portable kernel only";
+  }
+  expect_hash32_matches_span(kernels::hardware_32());
+}
+
+TEST(Sha256KernelTest, Selected32IsHardwareExactlyWhenCompressIs) {
+  EXPECT_EQ(kernels::hardware_32() == nullptr, kernels::hardware() == nullptr);
+  const kernels::Hash32 expected =
+      kernels::hardware_32() != nullptr ? kernels::hardware_32() : kernels::portable_32;
+  EXPECT_EQ(kernels::selected_32(), expected);
+}
+
+TEST(Sha256Test, OneBlock32MatchesSpanHash) {
+  Digest input{};
+  for (int trial = 0; trial < 256; ++trial) {
+    input[static_cast<std::size_t>(trial) % input.size()] ^= static_cast<std::uint8_t>(trial);
+    EXPECT_EQ(sha256_32(input), sha256(std::span<const std::uint8_t>(input)));
+  }
+  // FIPS 180-4 has no 32-byte vector; 32 zero bytes is a well-known one.
+  EXPECT_EQ(hex_digest(sha256_32(Digest{})),
+            "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925");
+}
+
+TEST(Sha256Test, BlockCounterCountsCompressedBlocks) {
+  const std::uint64_t start = sha256_blocks();
+  (void)sha256("abc");  // message and padding in one block
+  EXPECT_EQ(sha256_blocks() - start, 1u);
+  (void)sha256(std::string(56, 'x'));  // the padding spills into a second
+  EXPECT_EQ(sha256_blocks() - start, 3u);
+  (void)sha256_32(Digest{});
+  EXPECT_EQ(sha256_blocks() - start, 4u);
+  Sha256 h;
+  h.update(std::string(200, 'y'));  // three whole blocks now, 8 bytes held
+  EXPECT_EQ(sha256_blocks() - start, 7u);
+  (void)h.finalize();
+  EXPECT_EQ(sha256_blocks() - start, 8u);
+}
+
 // --------------------------------------------------------------- hmac ---
 
 TEST(HmacTest, Rfc4231Case1) {
@@ -292,6 +348,47 @@ TEST(SignatureTest, FingerprintStable) {
   Rng rng2(7);
   const KeyPair other = generate_keypair(rng2);
   EXPECT_NE(kp.public_key.fingerprint(), other.public_key.fingerprint());
+}
+
+TEST(SignatureTest, DigestFormsMatchMessageForms) {
+  Rng rng(8);
+  const KeyPair kp = generate_keypair(rng);
+  const std::string message = "a beacon entry";
+  const Digest digest = sha256(message);
+  const Signature sig = sign(kp.private_key, message);
+  EXPECT_EQ(sign_digest(kp.private_key, digest).revealed, sig.revealed);
+  EXPECT_TRUE(verify_digest(kp.public_key, digest, sig));
+  PreimageCache cache;
+  EXPECT_TRUE(verify_digest(kp.public_key, digest, sig, &cache));
+  EXPECT_TRUE(verify_digest(kp.public_key, digest, sig, &cache));  // warm
+  EXPECT_EQ(cache.misses(), kSignatureBits);
+  EXPECT_EQ(cache.hits(), kSignatureBits);
+  Digest other = digest;
+  other[0] ^= 1;
+  EXPECT_FALSE(verify_digest(kp.public_key, other, sig));
+  EXPECT_FALSE(verify_digest(kp.public_key, other, sig, &cache));
+}
+
+TEST(SignatureTest, KeygenHashesEachSecret) {
+  Rng rng(9);
+  const KeyPair kp = generate_keypair(rng);
+  for (std::size_t i = 0; i < kSignatureBits; ++i) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      ASSERT_EQ(kp.public_key.hashes[i][b],
+                sha256(std::span<const std::uint8_t>(kp.private_key.secrets[i][b])));
+    }
+  }
+}
+
+TEST(SignatureTest, FingerprintHashesTheDigestsInOrder) {
+  Rng rng(10);
+  const KeyPair kp = generate_keypair(rng);
+  Sha256 h;
+  for (const auto& pair : kp.public_key.hashes) {
+    h.update(std::span<const std::uint8_t>(pair[0]));
+    h.update(std::span<const std::uint8_t>(pair[1]));
+  }
+  EXPECT_EQ(kp.public_key.fingerprint(), h.finalize());
 }
 
 TEST(SignatureTest, DeterministicKeygen) {

@@ -214,6 +214,9 @@ TEST(GenerateBlobTest, MatchesBytewiseOracle) {
   for (std::size_t size = 0; size <= 72; ++size) sizes.push_back(size);
   sizes.push_back(30'000);
   sizes.push_back(1 << 20);
+  // Around the four-lane rounds (2048 bytes each) and the 30 KB page blob.
+  for (const std::size_t size : {2047, 2048, 2049, 4095, 4096, 4097}) sizes.push_back(size);
+  for (std::size_t extra = 1; extra <= 7; ++extra) sizes.push_back(30'000 + extra);
   for (const std::uint64_t tag : {0ULL, 1ULL, 7ULL, 0x9e3779b97f4a7c15ULL, ~0ULL}) {
     for (const std::size_t size : sizes) {
       ASSERT_EQ(generate_blob(size, tag), generate_blob_bytewise(size, tag))

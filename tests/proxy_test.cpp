@@ -690,6 +690,38 @@ TEST(ReverseProxyTest, StrictScionInjectionConfigurable) {
   EXPECT_EQ(rp.requests_relayed(), 1u);
 }
 
+TEST(ReverseProxyTest, MetricsCountBackendPoolReuse) {
+  auto world = make_local_world();
+  auto& topo = world->topology();
+  const auto rp_host = topo.host_by_name("scion-fs");
+  ReverseProxy rp(topo.scion_stack(rp_host), 8080,
+                  net::Endpoint{topo.ip(topo.host_by_name("tcpip-fs")), 80});
+  world->site("tcpip-fs.local")->add_text("/x", "content");
+
+  http::ScionHttpConnection conn(topo.scion_stack(world->client),
+                                 scion::ScionEndpoint{topo.scion_addr(rp_host), 8080},
+                                 scion::DataplanePath{});
+  // Three requests one after another: the first opens the backend
+  // connection, the other two find it idle and reuse it.
+  for (int i = 0; i < 3; ++i) {
+    http::HttpRequest req;
+    req.target = "/x";
+    req.headers.set("Host", "tcpip-fs.local");
+    bool done = false;
+    conn.fetch(req, [&](Result<http::HttpResponse> r) {
+      ASSERT_TRUE(r.ok()) << r.error();
+      EXPECT_EQ(r.value().status, 200);
+      done = true;
+    });
+    world->sim().run_until_condition([&] { return done; }, world->sim().now() + seconds(30));
+    ASSERT_TRUE(done) << "request " << i;
+  }
+  EXPECT_EQ(rp.requests_relayed(), 3u);
+  const obs::MetricsRegistry& metrics = rp.metrics();
+  EXPECT_EQ(metrics.counter_value("pool.revproxy.backend.misses"), 1u);
+  EXPECT_EQ(metrics.counter_value("pool.revproxy.backend.hits"), 2u);
+}
+
 TEST(SkipProxyTest, LearnsStrictScionPinsIntoDetector) {
   auto world = make_local_world();
   world->site("scion-fs.local")->enable_strict_scion(seconds(600));

@@ -5,7 +5,9 @@
 
 #include <unordered_set>
 
+#include "scion/topo_gen.hpp"
 #include "scion/topology.hpp"
+#include "support/segment_oracle.hpp"
 
 namespace pan::scion {
 namespace {
@@ -235,6 +237,60 @@ TEST(BeaconingTest, PrefixOfSegmentStillVerifiesButEndsElsewhere) {
   seg.entries.pop_back();
   EXPECT_TRUE(verify_segment(seg, fx.topo->trust_store()));
   EXPECT_NE(seg.last_as(), original_last);
+}
+
+TEST(BeaconingTest, TamperedSignatureFailsVerification) {
+  // A flipped bit in an upstream entry's signature breaks that entry and,
+  // since later entries sign over it, every entry after it.
+  Fixture fx;
+  PathSegment seg = fx.topo->path_infra().down_segments(fx.ia("d")).front();
+  ASSERT_GE(seg.entries.size(), 2u);
+  seg.entries.front().signature.revealed[3][0] ^= 1;
+  EXPECT_FALSE(verify_segment(seg, fx.topo->trust_store()));
+}
+
+TEST(SegmentHasherTest, OnePassDigestsMatchOracleOnGeneratedTopology) {
+  sim::Simulator sim;
+  TopoGenParams params;
+  params.seed = 3;
+  params.cores_per_isd = 4;  // 2 ISDs x (4 cores + 8 leaves) = 24 ASes
+  params.sign_beacons = true;
+  const GeneratedTopology gen = generate_topology(sim, params);
+  ASSERT_EQ(gen.topo->as_count(), 24u);
+  const std::vector<const PathSegment*> segments = testsupport::all_segments(*gen.topo);
+  ASSERT_EQ(segments.size(), gen.topo->path_infra().segment_count());
+  for (const PathSegment* seg : segments) {
+    EXPECT_EQ(testsupport::oracle_mismatch(*seg), "");
+    EXPECT_TRUE(verify_segment(*seg, gen.topo->trust_store()));
+  }
+}
+
+TEST(SegmentHasherTest, StreamedDigestsMatchOneShot) {
+  // build_segment's order: absorb a body, sign, absorb the signature unless
+  // it is the last. The digests on the way equal digest_segment's.
+  Fixture fx;
+  const PathSegment& seg = fx.topo->path_infra().down_segments(fx.ia("d")).front();
+  const SegmentDigests digests = digest_segment(seg);
+  SegmentHasher hasher(seg);
+  for (std::size_t i = 0; i < seg.entries.size(); ++i) {
+    EXPECT_EQ(hasher.absorb_body(seg.entries[i]), digests.signing[i]) << "entry " << i;
+    hasher.absorb_signature(seg.entries[i].signature);
+  }
+  EXPECT_EQ(hasher.digest(), digests.content);
+  // Each signature is a Lamport signature over its signing digest.
+  const crypto::PublicKey* key = fx.topo->trust_store().verified_key(seg.last_as());
+  ASSERT_NE(key, nullptr);
+  EXPECT_TRUE(crypto::verify_digest(*key, digests.signing.back(), seg.entries.back().signature));
+  EXPECT_FALSE(crypto::verify_digest(*key, digests.content, seg.entries.back().signature));
+}
+
+TEST(SegmentHasherTest, DigestCountMustMatchEntries) {
+  Fixture fx;
+  const PathSegment& seg = fx.topo->path_infra().down_segments(fx.ia("d")).front();
+  std::vector<crypto::Digest> signing = digest_segment(seg).signing;
+  ASSERT_TRUE(verify_segment(seg, signing, fx.topo->trust_store()));
+  signing.pop_back();
+  EXPECT_FALSE(verify_segment(seg, signing, fx.topo->trust_store()));
 }
 
 TEST(BeaconingTest, CoreSegmentsConnectCores) {
