@@ -5,7 +5,13 @@
 #   scripts/check.sh              # both builds
 #   scripts/check.sh --fast       # plain build only (plus the knob lint:
 #                                 # every config field needs a caller that
-#                                 # sets it, scripts/knob_lint.py)
+#                                 # sets it, scripts/knob_lint.py; and the
+#                                 # instrument lint: src/ outside src/obs/
+#                                 # never reads an instrument back by name —
+#                                 # counter_value( / find_counter( /
+#                                 # find_gauge( / find_histogram( — since
+#                                 # each component resolves its fixed-name
+#                                 # instruments once into handles)
 #   scripts/check.sh --golden     # plain build, then run the 15
 #                                 # deterministic bench binaries and diff
 #                                 # their stdout against scripts/golden/
@@ -242,6 +248,13 @@ fi
 
 if [[ "${1:-}" != "--sanitize" ]]; then
   echo "==> tier-1: plain build + ctest"
+  # Static, so it runs before the build: a by-name read of an instrument
+  # outside the obs layer is how a mirror of the registry creeps back in.
+  if grep -rnE '(counter_value|find_counter|find_gauge|find_histogram)\(' src \
+      --include='*.cpp' --include='*.hpp' | grep -v '^src/obs/'; then
+    echo "error: instrument read back by name outside src/obs/ (use its handle)" >&2
+    exit 1
+  fi
   run_suite build
   python3 scripts/knob_lint.py
 fi

@@ -279,7 +279,7 @@ void Browser::cache_store(const std::string& url_text, std::string etag, Bytes b
     PAN_DEBUG(kLog) << "cache evicting " << victim;
     cache_.erase(victim);
     cache_lru_.pop_back();
-    metrics_.counter("browser.cache.evictions").inc();
+    cache_evictions_.inc();
   }
   cache_lru_.push_front(url_text);
   cache_.emplace(url_text,

@@ -150,7 +150,8 @@ class Browser {
   BrowserExtension* extension_ = nullptr;  // null in direct mode
   net::Host* host_ = nullptr;              // direct mode
   dns::Resolver* resolver_ = nullptr;      // direct mode
-  obs::MetricsRegistry metrics_;  // before direct_pool_
+  obs::MetricsRegistry metrics_;  // before cache_evictions_ and direct_pool_
+  obs::Counter& cache_evictions_ = metrics_.counter("browser.cache.evictions");
   http::OriginPool direct_pool_;
   std::unordered_map<std::string, CacheEntry> cache_;
   std::list<std::string> cache_lru_;  // front = most recently used

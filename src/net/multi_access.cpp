@@ -366,38 +366,26 @@ void MultiAccessHost::send_probe(std::size_t index) {
 
 void MultiAccessHost::on_probe_reply(std::size_t index, std::uint64_t seq) {
   Access& access = *accesses_[index];
-  auto it = access.outstanding.find(seq);
-  if (it == access.outstanding.end()) {
-    // Late reply: the probe already counted as a miss, but lateness is not
-    // silence — a bulk transfer saturating the access link queues the probe
-    // behind megabytes of data without the link being down. Count it as
-    // liveness (reset the miss streak, fold the inflated RTT so the EWMA
-    // degrade machinery sees the bufferbloat) instead of dropping it, or a
-    // failover onto a surviving access would immediately declare that
-    // access dead under its own load.
-    auto late_it = access.late.find(seq);
-    if (late_it == access.late.end()) return;
-    const Duration rtt = scope_.now() - late_it->second;
-    access.late.erase(late_it);
-    ++access.probes_acked;
-    access.misses = 0;
-    access.last_reply = scope_.now();
-    if (access.health == AccessHealth::kDown &&
-        ++access.hits >= kUpAfterHits) {
-      set_health(access, AccessHealth::kHealthy);
-    }
-    fold_rtt(access, rtt);
-    return;
+  // A late reply (its probe already counted as a miss) counts like an
+  // on-time one: lateness is not silence — a bulk transfer saturating the
+  // access link queues the probe behind megabytes of data without the link
+  // being down. Resetting the miss streak and folding the inflated RTT (so
+  // the EWMA degrade machinery sees the bufferbloat) keeps a failover onto a
+  // surviving access from declaring that access dead under its own load.
+  std::map<std::uint64_t, TimePoint>* sent = &access.outstanding;
+  auto it = sent->find(seq);
+  if (it == sent->end()) {
+    sent = &access.late;
+    it = sent->find(seq);
+    if (it == sent->end()) return;
   }
   const Duration rtt = scope_.now() - it->second;
-  access.outstanding.erase(it);
+  sent->erase(it);
   ++access.probes_acked;
   access.misses = 0;
   access.last_reply = scope_.now();
-  if (access.health == AccessHealth::kDown) {
-    if (++access.hits >= kUpAfterHits) {
-      set_health(access, AccessHealth::kHealthy);
-    }
+  if (access.health == AccessHealth::kDown && ++access.hits >= kUpAfterHits) {
+    set_health(access, AccessHealth::kHealthy);
   }
   fold_rtt(access, rtt);
 }

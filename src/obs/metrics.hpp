@@ -123,10 +123,11 @@ class Histogram {
   [[nodiscard]] std::vector<Exemplar> exemplars() const;
 
   /// Log-linear default layout: nine linear sub-buckets per decade from
-  /// 10 us through 10 s (10,20,...,90 us; 100,200,...,900 us; ...), then
-  /// 10..60 s. Within a decade every bucket is one decade-width wide, which
-  /// is the merged-percentile error bound the property tests assert. The
-  /// layout is universal so any two default histograms merge.
+  /// 10 us through 9 s (10,20,...,90 us; 100,200,...,900 us; ...), then
+  /// 10..60 s in 10 s steps. Within a decade every bucket is one
+  /// decade-width wide, which is the merged-percentile error bound the
+  /// property tests assert. The layout is universal so any two default
+  /// histograms merge.
   [[nodiscard]] static std::vector<Duration> default_latency_buckets();
 
  private:

@@ -5,7 +5,7 @@
 namespace pan::proxy {
 
 CircuitBreaker::CircuitBreaker(sim::Simulator& sim, CircuitBreakerConfig config,
-                               obs::MetricsRegistry* metrics)
+                               obs::MetricsRegistry& metrics)
     : sim_(sim), config_(config), metrics_(metrics) {}
 
 bool CircuitBreaker::allow(const std::string& key) {
@@ -24,8 +24,8 @@ bool CircuitBreaker::allow(const std::string& key) {
     case State::kHalfOpen:
       if (entry.probe_in_flight) return false;
       entry.probe_in_flight = true;
-      count("breaker.probes");
-      event("probe", key);
+      probes_.inc();
+      metrics_.events().record(sim_.now(), "breaker", "probe", key);
       return true;
   }
   return true;
@@ -36,8 +36,8 @@ void CircuitBreaker::record_success(const std::string& key) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return;
   if (it->second.state != State::kClosed) {
-    count("breaker.closes");
-    event("close", key);
+    closes_.inc();
+    metrics_.events().record(sim_.now(), "breaker", "close", key);
   }
   entries_.erase(it);
 }
@@ -54,8 +54,10 @@ void CircuitBreaker::record_failure(const std::string& key) {
     entry.state = State::kOpen;
     entry.opened_at = sim_.now();
     entry.probe_in_flight = false;
-    count("breaker.trips");
-    event("trip", key + " after " + std::to_string(entry.consecutive_failures) + " failures");
+    trips_.inc();
+    metrics_.events().record(
+        sim_.now(), "breaker", "trip",
+        key + " after " + std::to_string(entry.consecutive_failures) + " failures");
   }
 }
 
@@ -117,16 +119,6 @@ void CircuitBreaker::import_entries(const std::vector<ExportedEntry>& entries) {
     entry.opened_at = imported.opened_at;
     // The exporting instance's probe (if any) died with it.
     entry.probe_in_flight = false;
-  }
-}
-
-void CircuitBreaker::count(const std::string& name) {
-  if (metrics_ != nullptr) metrics_->counter(name).inc();
-}
-
-void CircuitBreaker::event(std::string_view kind, std::string detail) {
-  if (metrics_ != nullptr) {
-    metrics_->events().record(sim_.now(), "breaker", kind, std::move(detail));
   }
 }
 

@@ -33,7 +33,7 @@ struct CircuitBreakerConfig {
 class CircuitBreaker {
  public:
   CircuitBreaker(sim::Simulator& sim, CircuitBreakerConfig config,
-                 obs::MetricsRegistry* metrics = nullptr);
+                 obs::MetricsRegistry& metrics);
 
   /// True when a SCION attempt may proceed for this origin. In half-open
   /// state the first caller becomes the probe; subsequent callers are
@@ -72,14 +72,14 @@ class CircuitBreaker {
     bool probe_in_flight = false;
   };
 
-  void count(const std::string& name);
-  /// Flight-recorder event (no-op without a registry).
-  void event(std::string_view kind, std::string detail);
   [[nodiscard]] static std::string_view state_name(State state);
 
   sim::Simulator& sim_;
   CircuitBreakerConfig config_;
-  obs::MetricsRegistry* metrics_;
+  obs::MetricsRegistry& metrics_;
+  obs::Counter& probes_ = metrics_.counter("breaker.probes");
+  obs::Counter& closes_ = metrics_.counter("breaker.closes");
+  obs::Counter& trips_ = metrics_.counter("breaker.trips");
   // Ordered so snapshot_json() is deterministic.
   std::map<std::string, Entry> entries_;
 };

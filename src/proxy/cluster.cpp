@@ -119,10 +119,10 @@ void ProxyCluster::broadcast_learn(std::size_t from, const std::string& domain,
   }
   if (!any) return;
   if (max_age <= Duration::zero()) {
-    count("fleet.cache_invalidations");
+    fleet_.cache_invalidations.inc();
     event("cache-invalidate", replicas_[from].name + " withdrew " + domain);
   } else {
-    count("fleet.cache_broadcasts");
+    fleet_.cache_broadcasts.inc();
   }
 }
 
@@ -191,7 +191,7 @@ void ProxyCluster::fetch(http::HttpRequest request, ProxyRequestOptions options,
     return;
   }
 
-  count("fleet.requests");
+  fleet_.requests.inc();
   auto pending = std::make_shared<PendingRequest>();
   pending->id = next_request_id_++;
   pending->origin_key = origin_key_of(request);
@@ -204,7 +204,7 @@ void ProxyCluster::fetch(http::HttpRequest request, ProxyRequestOptions options,
 
   const int index = route(pending->origin_key, pending->tried);
   if (index < 0) {
-    count("fleet.no_replica");
+    fleet_.no_replica.inc();
     shed(pending, "no live replica for " + pending->origin_key);
     return;
   }
@@ -230,7 +230,7 @@ void ProxyCluster::dispatch(const PendingPtr& pending, std::size_t replica_index
   if (owner == owners_.end()) {
     owners_[pending->origin_key] = replica_index;
   } else if (owner->second != replica_index) {
-    count("fleet.handoffs");
+    fleet_.handoffs.inc();
     event("handoff", pending->origin_key + ": " + replicas_[owner->second].name + " -> " +
                          rep.name);
     owner->second = replica_index;
@@ -282,7 +282,7 @@ void ProxyCluster::on_unanswered(const PendingPtr& pending, const char* reason) 
           : -1;
   if (next >= 0) {
     ++pending->failovers;
-    count("fleet.failovers");
+    fleet_.failovers.inc();
     event("failover", pending->origin_key + ": " + replicas_[pending->replica_index].name +
                           " (" + reason + ") -> " +
                           replicas_[static_cast<std::size_t>(next)].name);
@@ -303,7 +303,7 @@ void ProxyCluster::on_unanswered(const PendingPtr& pending, const char* reason) 
 
 void ProxyCluster::shed(const PendingPtr& pending, const std::string& why) {
   if (pending->done) return;
-  count("fleet.shed");
+  fleet_.shed.inc();
   event("shed", pending->origin_key + ": " + why);
   // Fail closed: strict or not, the fleet never answers with a downgraded
   // transport — the terminal answer is an honest 503 + Retry-After, inside
@@ -339,7 +339,7 @@ void ProxyCluster::refresh_fleet_metrics() {
 void ProxyCluster::serve_fleet(const http::HttpRequest& request, ProxyRequestOptions options,
                                const SkipProxy::FetchFn& on_result) {
   (void)options;
-  count("fleet.internal");
+  fleet_.internal.inc();
   fleet_series_.observe(scope_.now());
   ProxyResult result;
   result.transport = TransportUsed::kInternal;
@@ -384,7 +384,7 @@ void ProxyCluster::serve_fleet(const http::HttpRequest& request, ProxyRequestOpt
 
 void ProxyCluster::forward_internal(http::HttpRequest request, ProxyRequestOptions options,
                                     SkipProxy::FetchFn on_result) {
-  count("fleet.internal");
+  fleet_.internal.inc();
   // Control requests go to the first replica that can answer at all
   // (draining replicas still serve their control surface).
   for (Replica& rep : replicas_) {
@@ -413,7 +413,7 @@ ProxyCluster::Replica* ProxyCluster::find(const std::string& name) {
 void ProxyCluster::crash_replica(const std::string& name) {
   Replica* rep = find(name);
   if (rep == nullptr || rep->crashed()) return;
-  count("fleet.crashes");
+  fleet_.crashes.inc();
   event("crash", name);
   PAN_TRACE(kLog) << "crash: " << name;
   rep->hung = false;
@@ -442,9 +442,9 @@ void ProxyCluster::revive_replica(const std::string& name) {
   rep->draining = false;
   if (config_.warm_handoff) {
     restore_warm(*rep);
-    count("fleet.restarts_warm");
+    fleet_.restarts_warm.inc();
   } else {
-    count("fleet.restarts_cold");
+    fleet_.restarts_cold.inc();
   }
   set_health(*rep, ReplicaHealth::kHealthy,
              config_.warm_handoff ? "revive-warm" : "revive-cold");
@@ -463,7 +463,7 @@ void ProxyCluster::set_replica_hung(const std::string& name, bool hung) {
   rep->hung = hung;
   event(hung ? "hang" : "unhang", name);
   if (hung) {
-    count("fleet.hangs");
+    fleet_.hangs.inc();
   } else {
     // The wedge cleared with no state loss; probes will restore health.
     rep->probe_misses = 0;
@@ -473,7 +473,7 @@ void ProxyCluster::set_replica_hung(const std::string& name, bool hung) {
 void ProxyCluster::drain_replica(const std::string& name) {
   Replica* rep = find(name);
   if (rep == nullptr || rep->crashed() || rep->draining) return;
-  count("fleet.drains");
+  fleet_.drains.inc();
   rep->draining = true;
   set_health(*rep, ReplicaHealth::kDraining, "drain");
   event("drain", name);
@@ -554,7 +554,7 @@ void ProxyCluster::probe_all() {
 void ProxyCluster::probe(std::size_t index) {
   Replica& rep = replicas_[index];
   if (rep.crashed()) return;  // already down
-  count("fleet.probes");
+  fleet_.probes.inc();
   auto answered = std::make_shared<bool>(false);
   const std::uint64_t generation = rep.generation;
 
@@ -600,7 +600,7 @@ void ProxyCluster::probe(std::size_t index) {
       return;
     }
     ++rep.probe_misses;
-    count("fleet.probe_misses");
+    fleet_.probe_misses.inc();
     if (rep.probe_misses >= kProbeMissDown) {
       if (rep.health != ReplicaHealth::kDown) {
         set_health(rep, ReplicaHealth::kDown,
@@ -641,14 +641,10 @@ void ProxyCluster::set_health(Replica& rep, ReplicaHealth health, const std::str
 }
 
 void ProxyCluster::update_health_gauges() {
-  std::size_t counts[4] = {0, 0, 0, 0};
+  for (obs::Gauge* gauge : fleet_.replicas) gauge->set(0);
   for (const Replica& rep : replicas_) {
-    ++counts[static_cast<std::size_t>(rep.health)];
+    fleet_.replicas[static_cast<std::size_t>(rep.health)]->add(1);
   }
-  metrics_.gauge("fleet.replicas_healthy").set(static_cast<double>(counts[0]));
-  metrics_.gauge("fleet.replicas_degraded").set(static_cast<double>(counts[1]));
-  metrics_.gauge("fleet.replicas_draining").set(static_cast<double>(counts[2]));
-  metrics_.gauge("fleet.replicas_down").set(static_cast<double>(counts[3]));
 }
 
 // --- introspection ---------------------------------------------------------
@@ -718,24 +714,22 @@ std::string ProxyCluster::fleet_json() {
 
 FleetStats ProxyCluster::stats() const {
   FleetStats stats;
-  stats.requests = metrics_.counter_value("fleet.requests");
-  stats.internal = metrics_.counter_value("fleet.internal");
-  stats.failovers = metrics_.counter_value("fleet.failovers");
-  stats.handoffs = metrics_.counter_value("fleet.handoffs");
-  stats.shed = metrics_.counter_value("fleet.shed");
-  stats.no_replica = metrics_.counter_value("fleet.no_replica");
-  stats.crashes = metrics_.counter_value("fleet.crashes");
-  stats.restarts_warm = metrics_.counter_value("fleet.restarts_warm");
-  stats.restarts_cold = metrics_.counter_value("fleet.restarts_cold");
-  stats.probes = metrics_.counter_value("fleet.probes");
-  stats.probe_misses = metrics_.counter_value("fleet.probe_misses");
-  stats.cache_broadcasts = metrics_.counter_value("fleet.cache_broadcasts");
-  stats.cache_invalidations = metrics_.counter_value("fleet.cache_invalidations");
-  stats.drains = metrics_.counter_value("fleet.drains");
+  stats.requests = fleet_.requests.value();
+  stats.internal = fleet_.internal.value();
+  stats.failovers = fleet_.failovers.value();
+  stats.handoffs = fleet_.handoffs.value();
+  stats.shed = fleet_.shed.value();
+  stats.no_replica = fleet_.no_replica.value();
+  stats.crashes = fleet_.crashes.value();
+  stats.restarts_warm = fleet_.restarts_warm.value();
+  stats.restarts_cold = fleet_.restarts_cold.value();
+  stats.probes = fleet_.probes.value();
+  stats.probe_misses = fleet_.probe_misses.value();
+  stats.cache_broadcasts = fleet_.cache_broadcasts.value();
+  stats.cache_invalidations = fleet_.cache_invalidations.value();
+  stats.drains = fleet_.drains.value();
   return stats;
 }
-
-void ProxyCluster::count(const std::string& name) { metrics_.counter(name).inc(); }
 
 void ProxyCluster::event(std::string_view kind, std::string detail) {
   metrics_.events().record(scope_.now(), "fleet", kind, std::move(detail));

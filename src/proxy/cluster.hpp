@@ -96,7 +96,8 @@ struct ClusterConfig {
   std::function<void(dns::Resolver&)> on_resolver_created;
 };
 
-/// Fleet counters, read back from the registry for ergonomic assertions.
+/// Value snapshot of the fleet counters (it outlives the cluster, e.g. in a
+/// bench's per-run record).
 struct FleetStats {
   std::uint64_t requests = 0;
   std::uint64_t internal = 0;
@@ -268,7 +269,6 @@ class ProxyCluster {
   void record_answer(std::size_t index, bool error);
   void set_health(Replica& rep, ReplicaHealth health, const std::string& why);
   void update_health_gauges();
-  void count(const std::string& name);
   void event(std::string_view kind, std::string detail);
 
   [[nodiscard]] Replica* find(const std::string& name);
@@ -284,6 +284,31 @@ class ProxyCluster {
   /// Fleet-level registry: fleet.* counters, health gauges, and the
   /// FlightRecorder ring.
   obs::MetricsRegistry metrics_;
+  /// The fleet.* instruments, resolved once from metrics_.
+  struct Instruments {
+    obs::MetricsRegistry& registry;
+    obs::Counter& requests = registry.counter("fleet.requests");
+    obs::Counter& internal = registry.counter("fleet.internal");
+    obs::Counter& failovers = registry.counter("fleet.failovers");
+    obs::Counter& handoffs = registry.counter("fleet.handoffs");
+    obs::Counter& shed = registry.counter("fleet.shed");
+    obs::Counter& no_replica = registry.counter("fleet.no_replica");
+    obs::Counter& crashes = registry.counter("fleet.crashes");
+    obs::Counter& restarts_warm = registry.counter("fleet.restarts_warm");
+    obs::Counter& restarts_cold = registry.counter("fleet.restarts_cold");
+    obs::Counter& hangs = registry.counter("fleet.hangs");
+    obs::Counter& drains = registry.counter("fleet.drains");
+    obs::Counter& probes = registry.counter("fleet.probes");
+    obs::Counter& probe_misses = registry.counter("fleet.probe_misses");
+    obs::Counter& cache_broadcasts = registry.counter("fleet.cache_broadcasts");
+    obs::Counter& cache_invalidations = registry.counter("fleet.cache_invalidations");
+    /// Replicas per health state, indexed by ReplicaHealth.
+    obs::Gauge* replicas[4] = {&registry.gauge("fleet.replicas_healthy"),
+                               &registry.gauge("fleet.replicas_degraded"),
+                               &registry.gauge("fleet.replicas_draining"),
+                               &registry.gauge("fleet.replicas_down")};
+  };
+  Instruments fleet_{metrics_};
   FleetMetricsAggregator aggregator_;
   obs::TimeSeriesStore fleet_series_;  // over metrics_; must follow it
 

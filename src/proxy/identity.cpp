@@ -76,7 +76,7 @@ NetworkIdentity& IdentityPathBroker::identity(const std::string& id) {
   auto [inserted, ok] =
       identities_.emplace(id, NetworkIdentity(id, sim_.now()));
   (void)ok;
-  metrics_.counter("identity.created").inc();
+  created_.inc();
   inserted->second.record(sim_.now(), "created", "", "");
   return inserted->second;
 }
@@ -132,7 +132,7 @@ bool IdentityPathBroker::commit(const std::string& id, const std::string& origin
   if (changed) ident.record(now, "assign", origin, fingerprint);
   if (collided) {
     ++ident.stats_.path_collisions;
-    metrics_.counter("identity.path_collisions").inc();
+    path_collisions_.inc();
     metrics_.events().record(now, "identity", "collision",
                              id + " -> " + origin + " on " + fingerprint);
     ident.record(now, "collision", origin, fingerprint);
@@ -165,7 +165,7 @@ std::vector<std::pair<std::string, std::string>> IdentityPathBroker::rotate(
                 [now](const auto& entry) { return entry.second <= now; });
   ident.assignments_.clear();
   ++ident.stats_.rotations;
-  metrics_.counter("identity.rotations").inc();
+  rotations_.inc();
   ident.record(now, "rotate", "",
                std::to_string(released.size()) + " assignments quarantined");
   return released;

@@ -173,6 +173,9 @@ class IdentityPathBroker {
  private:
   sim::Simulator& sim_;
   obs::MetricsRegistry& metrics_;
+  obs::Counter& created_ = metrics_.counter("identity.created");
+  obs::Counter& path_collisions_ = metrics_.counter("identity.path_collisions");
+  obs::Counter& rotations_ = metrics_.counter("identity.rotations");
   std::map<std::string, NetworkIdentity> identities_;  // ordered: stable JSON
   /// origin -> fingerprint -> owning identity: the disjointness ledger.
   std::unordered_map<std::string, std::unordered_map<std::string, std::string>> live_;

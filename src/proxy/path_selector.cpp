@@ -19,13 +19,8 @@ std::string path_counter_name(std::string_view fingerprint, std::string_view wha
 }
 }  // namespace
 
-PathSelector::PathSelector(scion::Daemon& daemon, obs::MetricsRegistry* metrics)
-    : daemon_(daemon), metrics_(metrics), scope_(daemon.simulator()) {
-  if (metrics_ == nullptr) {
-    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-    metrics_ = owned_metrics_.get();
-  }
-}
+PathSelector::PathSelector(scion::Daemon& daemon, obs::MetricsRegistry& metrics)
+    : daemon_(daemon), metrics_(metrics), scope_(daemon.simulator()) {}
 
 void PathSelector::set_geofence(std::optional<ppl::Geofence> geofence) {
   geofence_ = std::move(geofence);
@@ -38,14 +33,13 @@ bool PathSelector::permits(const scion::Path& path) const {
 
 void PathSelector::prune_expired_revocations(TimePoint now) {
   std::erase_if(revocations_, [now](const Revocation& rev) { return rev.expires <= now; });
-  metrics_->gauge("selector.revocations_active")
-      .set(static_cast<double>(revocations_.size()));
+  revocations_active_.set(static_cast<double>(revocations_.size()));
 }
 
 void PathSelector::revoke(scion::IsdAsn ia, scion::IfaceId iface, Duration ttl) {
   const TimePoint now = daemon_.simulator().now();
   prune_expired_revocations(now);
-  metrics_->counter("selector.revocations").inc();
+  revocations_total_.inc();
   const TimePoint expires = now + ttl;
   // Refresh an existing revocation of the same interface if present.
   for (Revocation& rev : revocations_) {
@@ -55,8 +49,7 @@ void PathSelector::revoke(scion::IsdAsn ia, scion::IfaceId iface, Duration ttl) 
     }
   }
   revocations_.push_back(Revocation{ia, iface, expires});
-  metrics_->gauge("selector.revocations_active")
-      .set(static_cast<double>(revocations_.size()));
+  revocations_active_.set(static_cast<double>(revocations_.size()));
 }
 
 bool PathSelector::is_revoked(const scion::Path& path) {
@@ -71,22 +64,20 @@ bool PathSelector::is_revoked(const scion::Path& path) {
 void PathSelector::prune_expired_quarantines(TimePoint now) {
   std::erase_if(quarantined_,
                 [now](const auto& entry) { return entry.second <= now; });
-  metrics_->gauge("selector.quarantines_active")
-      .set(static_cast<double>(quarantined_.size()));
+  quarantines_active_.set(static_cast<double>(quarantined_.size()));
 }
 
 void PathSelector::quarantine(const scion::Path& path, Duration ttl) {
   if (ttl <= Duration::zero()) return;
   const TimePoint now = daemon_.simulator().now();
   prune_expired_quarantines(now);
-  metrics_->counter("selector.quarantines").inc();
-  metrics_->events().record(now, "selector", "quarantine",
-                            strings::format("%s ttl=%.0fms", path.fingerprint().c_str(),
-                                            ttl.millis()));
+  quarantines_total_.inc();
+  metrics_.events().record(now, "selector", "quarantine",
+                           strings::format("%s ttl=%.0fms", path.fingerprint().c_str(),
+                                           ttl.millis()));
   TimePoint& expires = quarantined_[path.fingerprint()];
   expires = std::max(expires, now + ttl);
-  metrics_->gauge("selector.quarantines_active")
-      .set(static_cast<double>(quarantined_.size()));
+  quarantines_active_.set(static_cast<double>(quarantined_.size()));
 }
 
 bool PathSelector::is_quarantined(const std::string& fingerprint) {
@@ -116,10 +107,10 @@ std::vector<std::pair<std::string, TimePoint>> PathSelector::quarantine_snapshot
 void PathSelector::restore_quarantine(const std::string& fingerprint, TimePoint expires) {
   const TimePoint now = daemon_.simulator().now();
   if (expires <= now) return;
+  prune_expired_quarantines(now);
   TimePoint& slot = quarantined_[fingerprint];
   if (slot < expires) slot = expires;
-  metrics_->gauge("selector.quarantines_active")
-      .set(static_cast<double>(quarantined_.size()));
+  quarantines_active_.set(static_cast<double>(quarantined_.size()));
 }
 
 std::size_t PathSelector::active_revocations() const {
@@ -143,12 +134,12 @@ void PathSelector::choose(scion::IsdAsn dst, std::vector<ppl::OrderKey> server_p
                           std::function<void(PathChoice)> callback,
                           std::optional<ppl::PolicySet> override_policies,
                           ExcludeFn exclude, const std::string& access) {
-  metrics_->counter("selector.choices").inc();
+  choices_.inc();
   scion::Daemon* daemon = &daemon_;
   if (!access.empty()) {
     if (const auto it = access_daemons_.find(access); it != access_daemons_.end()) {
       daemon = it->second;
-      metrics_->counter("selector.access_choices").inc();
+      access_choices_.inc();
     }
   }
   daemon->query(dst, scope_, [this, pref = std::move(server_preference),
@@ -180,7 +171,7 @@ void PathSelector::choose(scion::IsdAsn dst, std::vector<ppl::OrderKey> server_p
       pool.push_back(std::move(p));
     }
     if (!suspect.empty() && !fresh.empty()) {
-      metrics_->counter("selector.quarantine_avoided").inc();
+      quarantine_avoided_.inc();
     }
     const bool had_excluded = !excluded_fresh.empty() || !excluded_suspect.empty();
     const auto pick = [&](std::vector<scion::Path> pool, PathChoice& out,
@@ -219,13 +210,13 @@ void PathSelector::choose(scion::IsdAsn dst, std::vector<ppl::OrderKey> server_p
       pick(std::move(excluded_suspect), choice, true);
     }
     if (had_excluded && !choice.any_excluded && !choice.compliant_excluded) {
-      metrics_->counter("selector.exclusion_avoided").inc();
+      exclusion_avoided_.inc();
     }
     if (choice.any_excluded || choice.compliant_excluded) {
-      metrics_->counter("selector.exclusion_fallbacks").inc();
+      exclusion_fallbacks_.inc();
     }
-    if (!choice.reachable()) metrics_->counter("selector.no_path").inc();
-    if (!choice.compliant.has_value()) metrics_->counter("selector.no_compliant_path").inc();
+    if (!choice.reachable()) no_path_.inc();
+    if (!choice.compliant.has_value()) no_compliant_path_.inc();
     cb(std::move(choice));
   });
 }
@@ -238,8 +229,8 @@ PathSelector::PathInstruments& PathSelector::instruments_for(const scion::Path& 
   PathInstruments& inst = paths_[key];
   if (inst.requests == nullptr) {
     inst.description = path.to_string();
-    inst.requests = &metrics_->counter(path_counter_name(fingerprint, "requests", identity));
-    inst.bytes = &metrics_->counter(path_counter_name(fingerprint, "bytes", identity));
+    inst.requests = &metrics_.counter(path_counter_name(fingerprint, "requests", identity));
+    inst.bytes = &metrics_.counter(path_counter_name(fingerprint, "bytes", identity));
   }
   return inst;
 }
@@ -252,7 +243,7 @@ void PathSelector::record_rtt(const scion::Path& path, Duration rtt) {
   } else {
     inst.observed_rtt = Duration{(7 * inst.observed_rtt.nanos() + rtt.nanos()) / 8};
   }
-  metrics_->histogram("selector.observed_rtt").record(rtt);
+  observed_rtt_.record(rtt);
 }
 
 void PathSelector::record_use(const scion::Path& path, std::uint64_t bytes, TimePoint now,
@@ -262,8 +253,8 @@ void PathSelector::record_use(const scion::Path& path, std::uint64_t bytes, Time
   inst.bytes->inc(bytes);
   inst.total_latency_estimate += path.meta().latency;
   if (now > inst.last_used) inst.last_used = now;
-  metrics_->counter("selector.requests").inc();
-  metrics_->counter("selector.bytes").inc(bytes);
+  requests_.inc();
+  bytes_.inc(bytes);
 }
 
 std::unordered_map<std::string, PathUsage> PathSelector::usage() const {

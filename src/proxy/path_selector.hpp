@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -53,10 +52,9 @@ struct PathUsage {
 
 class PathSelector {
  public:
-  /// When `metrics` is null the selector owns a private registry, so usage
-  /// accounting is always registry-backed; the proxy passes its own registry
+  /// Usage accounting is registry-backed: the proxy passes its own registry
   /// so path counters appear in the /skip/metrics dump.
-  explicit PathSelector(scion::Daemon& daemon, obs::MetricsRegistry* metrics = nullptr);
+  PathSelector(scion::Daemon& daemon, obs::MetricsRegistry& metrics);
 
   void set_policies(ppl::PolicySet policies) { policies_ = std::move(policies); }
   [[nodiscard]] const ppl::PolicySet& policies() const { return policies_; }
@@ -124,7 +122,7 @@ class PathSelector {
   /// identity-scoped use.
   [[nodiscard]] std::unordered_map<std::string, PathUsage> usage() const;
 
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
  private:
   struct Revocation {
@@ -150,8 +148,21 @@ class PathSelector {
 
   scion::Daemon& daemon_;
   std::unordered_map<std::string, scion::Daemon*> access_daemons_;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::MetricsRegistry& metrics_;
+  obs::Counter& choices_ = metrics_.counter("selector.choices");
+  obs::Counter& access_choices_ = metrics_.counter("selector.access_choices");
+  obs::Counter& quarantine_avoided_ = metrics_.counter("selector.quarantine_avoided");
+  obs::Counter& exclusion_avoided_ = metrics_.counter("selector.exclusion_avoided");
+  obs::Counter& exclusion_fallbacks_ = metrics_.counter("selector.exclusion_fallbacks");
+  obs::Counter& no_path_ = metrics_.counter("selector.no_path");
+  obs::Counter& no_compliant_path_ = metrics_.counter("selector.no_compliant_path");
+  obs::Counter& requests_ = metrics_.counter("selector.requests");
+  obs::Counter& bytes_ = metrics_.counter("selector.bytes");
+  obs::Histogram& observed_rtt_ = metrics_.histogram("selector.observed_rtt");
+  obs::Counter& revocations_total_ = metrics_.counter("selector.revocations");
+  obs::Gauge& revocations_active_ = metrics_.gauge("selector.revocations_active");
+  obs::Counter& quarantines_total_ = metrics_.counter("selector.quarantines");
+  obs::Gauge& quarantines_active_ = metrics_.gauge("selector.quarantines_active");
   ppl::PolicySet policies_;
   std::optional<ppl::Geofence> geofence_;
   std::unordered_map<std::string, PathInstruments> paths_;

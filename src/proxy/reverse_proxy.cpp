@@ -120,7 +120,7 @@ void ReverseProxy::relay(const http::HttpRequest& request,
           if (!result.ok()) {
             ++backend_errors_;
             if (http::OriginPool::is_shed(result.error())) {
-              metrics_.counter("revproxy.overload.shed_requests").inc();
+              shed_requests_.inc();
               if (hop != nullptr) record_hop(*hop, 503, "shed");
               respond(http::make_retry_after_response(
                   503, OverloadController::kRetryAfter,

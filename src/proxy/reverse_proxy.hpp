@@ -80,6 +80,7 @@ class ReverseProxy {
   ReverseProxyConfig config_;
   /// Backend-pool instruments (`pool.revproxy.backend.*`, AIMD window).
   obs::MetricsRegistry metrics_;  // before backend_limiter_ and backend_pool_
+  obs::Counter& shed_requests_ = metrics_.counter("revproxy.overload.shed_requests");
   obs::TraceCollector* collector_ = nullptr;
   AimdController backend_limiter_;
   http::OriginPool backend_pool_;

@@ -150,28 +150,28 @@ SkipProxy::SkipProxy(sim::Simulator& sim, net::Host& host, scion::ScionStack& st
       config_(config),
       owned_metrics_(config.metrics == nullptr ? std::make_unique<obs::MetricsRegistry>()
                                                : nullptr),
-      metrics_(config.metrics != nullptr ? config.metrics : owned_metrics_.get()),
+      metrics_(config.metrics != nullptr ? *config.metrics : *owned_metrics_),
       owned_collector_(config.collector == nullptr
                            ? std::make_unique<obs::TraceCollector>(config.collector_config)
                            : nullptr),
       collector_(config.collector != nullptr ? config.collector : owned_collector_.get()),
-      slo_(*metrics_),
-      timeseries_(*metrics_, obs::TimeSeriesConfig{}, sim.now()),
+      slo_(metrics_),
+      timeseries_(metrics_, obs::TimeSeriesConfig{}, sim.now()),
       detector_(sim, resolver),
       selector_(daemon, metrics_),
       breaker_(sim,
                CircuitBreakerConfig{.failure_threshold = config_.breaker_threshold,
                                     .open_ttl = config_.breaker_open_ttl},
                metrics_),
-      identities_(sim, *metrics_),
+      identities_(sim, metrics_),
       retry_rng_(salted_jitter_seed()),
-      overload_(sim, *metrics_, config_.overload),
-      legacy_limiter_("legacy", kLegacyAimd, *metrics_),
-      scion_limiter_("scion", kScionAimd, *metrics_),
-      legacy_pool_(sim, *metrics_,
+      overload_(sim, metrics_, config_.overload),
+      legacy_limiter_("legacy", kLegacyAimd, metrics_),
+      scion_limiter_("scion", kScionAimd, metrics_),
+      legacy_pool_(sim, metrics_,
                    legacy_pool_config(config_,
                                       config_.overload.enabled ? &legacy_limiter_ : nullptr)),
-      scion_pool_(sim, *metrics_,
+      scion_pool_(sim, metrics_,
                   scion_pool_config(config_,
                                     config_.overload.enabled ? &scion_limiter_ : nullptr)) {
   legacy_limiter_.set_simulator(&scope_.simulator());
@@ -249,7 +249,7 @@ std::string SkipProxy::access_authority(const std::string& authority,
 }
 
 void SkipProxy::fail_no_access(const RequestPtr& req, const std::string& host) {
-  metrics_->counter("proxy.no_access").inc();
+  stats_.no_access.inc();
   if (req->strict) {
     fail_strict_unavailable(req, host, "all access links down");
     return;
@@ -263,13 +263,13 @@ void SkipProxy::fail_no_access(const RequestPtr& req, const std::string& host) {
 
 void SkipProxy::on_access_health(const std::string& name, net::AccessHealth /*previous*/,
                                  net::AccessHealth current) {
-  metrics_->gauge("access." + name + ".health")
+  metrics_.gauge("access." + name + ".health")
       .set(current == net::AccessHealth::kHealthy    ? 2.0
            : current == net::AccessHealth::kDegraded ? 1.0
                                                      : 0.0);
-  metrics_->events().record(scope_.now(), "access", std::string(to_string(current)), name);
+  metrics_.events().record(scope_.now(), "access", std::string(to_string(current)), name);
   if (current != net::AccessHealth::kDown) return;
-  metrics_->counter("proxy.access_down_events").inc();
+  stats_.access_down_events.inc();
   // Retire pooled connections riding the dead access: their conduits are
   // gone, and parked waiters must re-dispatch onto fresh dials elsewhere.
   const std::string suffix = "#" + name;
@@ -301,7 +301,7 @@ void SkipProxy::on_access_health(const std::string& name, net::AccessHealth /*pr
     req->trace->end("fetch");
     req->trace->cancel("handshake");
     req->trace->set_attribute("access_failover", name);
-    metrics_->counter("proxy.access_failovers").inc();
+    stats_.access_failovers.inc();
     PAN_DEBUG(kLog) << ctx->url.host << ": access " << name
                     << " down, failing over mid-flight";
     start_scion_attempt(ctx, req);
@@ -318,36 +318,6 @@ obs::TracePtr SkipProxy::make_trace() {
   return std::make_shared<obs::RequestTrace>(scope_.simulator(), trace_id_base_ | next_trace_id_++);
 }
 
-ProxyStats SkipProxy::stats() const {
-  ProxyStats stats;
-  stats.requests = metrics_->counter_value("proxy.requests");
-  stats.over_scion = metrics_->counter_value("proxy.over_scion");
-  stats.over_ip = metrics_->counter_value("proxy.over_ip");
-  stats.blocked = metrics_->counter_value("proxy.blocked");
-  stats.errors = metrics_->counter_value("proxy.errors");
-  stats.internal = metrics_->counter_value("proxy.internal");
-  stats.fallbacks = metrics_->counter_value("proxy.fallbacks");
-  stats.timeouts = metrics_->counter_value("proxy.timeouts");
-  stats.bytes_scion = metrics_->counter_value("proxy.bytes_scion");
-  stats.bytes_ip = metrics_->counter_value("proxy.bytes_ip");
-  stats.scmp_reports = metrics_->counter_value("proxy.scmp_reports");
-  stats.scmp_reroutes = metrics_->counter_value("proxy.scmp_reroutes");
-  stats.scion_failures = metrics_->counter_value("proxy.scion_failures");
-  stats.gateway_errors = metrics_->counter_value("proxy.gateway_errors");
-  stats.retries = metrics_->counter_value("proxy.retries");
-  stats.attempt_timeouts = metrics_->counter_value("proxy.attempt_timeouts");
-  stats.breaker_short_circuits = metrics_->counter_value("proxy.breaker_short_circuits");
-  stats.strict_unavailable = metrics_->counter_value("proxy.strict_unavailable");
-  stats.admitted = metrics_->counter_value("overload.admitted");
-  stats.rejected_rate = metrics_->counter_value("overload.rejected_rate");
-  stats.rejected_capacity = metrics_->counter_value("overload.rejected_capacity");
-  stats.shed = metrics_->counter_value("overload.shed_requests");
-  stats.brownout_bypasses = metrics_->counter_value("overload.brownout_bypass");
-  stats.access_down_events = metrics_->counter_value("proxy.access_down_events");
-  stats.access_failovers = metrics_->counter_value("proxy.access_failovers");
-  return stats;
-}
-
 std::vector<SkipProxy::PooledScionOrigin> SkipProxy::scion_pool_snapshot() {
   std::vector<PooledScionOrigin> out;
   scion_pool_.for_each_connection(
@@ -361,7 +331,7 @@ std::vector<SkipProxy::PooledScionOrigin> SkipProxy::scion_pool_snapshot() {
 }
 
 void SkipProxy::on_scmp(const scion::ScmpMessage& message) {
-  metrics_->counter("proxy.scmp_reports").inc();
+  stats_.scmp_reports.inc();
   selector_.revoke(message.origin_as, message.interface, config_.revocation_ttl);
   PAN_DEBUG(kLog) << "revoking after " << message.to_string();
   // Migrate every pooled connection whose current path crosses the broken
@@ -430,7 +400,7 @@ void SkipProxy::on_scmp(const scion::ScmpMessage& message) {
       const std::size_t migrated = scion_pool_.migrate(key, *replacement);
       if (migrated == 0) return;  // already on (or equal to) this path
       identities_.commit(identity, authority, replacement->fingerprint(), excluded);
-      metrics_->counter("proxy.scmp_reroutes").inc(migrated);
+      stats_.scmp_reroutes.inc(migrated);
       PAN_DEBUG(kLog) << key << ": migrating to " << replacement->to_string();
     },
                      std::move(per_site_policies),
@@ -471,7 +441,7 @@ http::HttpRequest SkipProxy::to_origin_form(const http::Url& url, http::HttpRequ
 
 void SkipProxy::fetch(http::HttpRequest request, ProxyRequestOptions options,
                       FetchFn on_result) {
-  metrics_->counter("proxy.requests").inc();
+  stats_.requests.inc();
   auto req = std::make_shared<RequestState>();
   req->on_result = std::move(on_result);
   req->trace = options.trace != nullptr ? options.trace : make_trace();
@@ -543,7 +513,7 @@ void SkipProxy::fetch(http::HttpRequest request, ProxyRequestOptions options,
   // Per-request deadline: whatever state the pipeline is in, the request
   // resolves by then.
   req->deadline_event = scope_.schedule_at(req->deadline, [this, req] {
-    metrics_->counter("proxy.timeouts").inc();
+    stats_.timeouts.inc();
     req->trace->set_outcome("timeout");
     ProxyResult result;
     result.transport = TransportUsed::kError;
@@ -583,11 +553,11 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
                               result.response.body.size());
   }
   switch (result.transport) {
-    case TransportUsed::kScion: metrics_->counter("proxy.over_scion").inc(); break;
-    case TransportUsed::kIp: metrics_->counter("proxy.over_ip").inc(); break;
-    case TransportUsed::kBlocked: metrics_->counter("proxy.blocked").inc(); break;
-    case TransportUsed::kError: metrics_->counter("proxy.errors").inc(); break;
-    case TransportUsed::kInternal: metrics_->counter("proxy.internal").inc(); break;
+    case TransportUsed::kScion: stats_.over_scion.inc(); break;
+    case TransportUsed::kIp: stats_.over_ip.inc(); break;
+    case TransportUsed::kBlocked: stats_.blocked.inc(); break;
+    case TransportUsed::kError: stats_.errors.inc(); break;
+    case TransportUsed::kInternal: stats_.internal.inc(); break;
   }
   // Truncate phases still open (timeout / early error), then time the
   // response-side crossing as one more ipc span.
@@ -621,10 +591,9 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
     const bool keep = !internal && (req->trace->sampled() ||
                                     result.response.status >= 400 || result.fell_back);
     const std::uint64_t exemplar_id = keep ? req->trace->id() : 0;
-    req->trace->flush_to(*metrics_, "proxy.phase.", exemplar_id);
-    metrics_->histogram("proxy.request_total")
-        .record(scope_.now() - req->trace->created_at(), exemplar_id,
-                req->trace->created_at());
+    req->trace->flush_to(metrics_, "proxy.phase.", exemplar_id);
+    stats_.request_total.record(scope_.now() - req->trace->created_at(), exemplar_id,
+                                req->trace->created_at());
     timeseries_.observe(scope_.now());
     result.outcome = std::string(req->trace->outcome());
     result.trace_id = req->trace->id();
@@ -639,12 +608,12 @@ void SkipProxy::finish(const RequestPtr& req, ProxyResult result) {
       if (status >= 500) {
         // 5xx auto-dump: the flight recorder's recent history rides with the
         // trace, so a failed chaos scenario carries its own context.
-        metrics_->events().record(
+        metrics_.events().record(
             scope_.now(), "proxy", "5xx",
             strings::format("status=%d trace=%llu outcome=%s", status,
                             static_cast<unsigned long long>(req->trace->id()),
                             result.outcome.c_str()));
-        collector_->attach_events(req->trace->id(), metrics_->events().last(32));
+        collector_->attach_events(req->trace->id(), metrics_.events().last(32));
       }
     }
     req->on_result(std::move(result));
@@ -674,10 +643,8 @@ void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPt
     result.response =
         http::make_response(200, from_string("{\"ok\":true}"), "application/json");
   } else if (path == "/skip/metrics") {
-    metrics_->gauge("proxy.scion_pool_size")
-        .set(static_cast<double>(scion_pool_.origin_count()));
-    metrics_->gauge("proxy.legacy_pool_size")
-        .set(static_cast<double>(legacy_pool_.origin_count()));
+    stats_.scion_pool_size.set(static_cast<double>(scion_pool_.origin_count()));
+    stats_.legacy_pool_size.set(static_cast<double>(legacy_pool_.origin_count()));
     const std::string prefix(http::query_param(query, "prefix"));
     const std::string_view window_text = http::query_param(query, "window");
     if (!window_text.empty()) {
@@ -695,14 +662,14 @@ void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPt
             "application/json");
       }
     } else {
-      result.response = http::make_response(200, from_string(metrics_->to_json(prefix)),
+      result.response = http::make_response(200, from_string(metrics_.to_json(prefix)),
                                             "application/json");
     }
   } else if (path == "/skip/metrics.prom") {
     std::vector<std::pair<std::string, std::string>> labels;
     if (!config_.prom_instance.empty()) labels.emplace_back("instance", config_.prom_instance);
     const std::string prefix(http::query_param(query, "prefix"));
-    result.response = http::make_response(200, from_string(metrics_->to_prom(prefix, labels)),
+    result.response = http::make_response(200, from_string(metrics_.to_prom(prefix, labels)),
                                           "text/plain; version=0.0.4");
   } else if (path == "/skip/pool") {
     // Per-origin pool state; the scion side additionally reports the path
@@ -739,7 +706,7 @@ void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPt
     body += ",\"slo\":" + slo_.snapshot_json();
     body += ",\"faults\":{";
     first = true;
-    for (const auto& [name, counter] : metrics_->counters()) {
+    for (const auto& [name, counter] : metrics_.counters()) {
       if (!strings::starts_with(name, "fault.")) continue;
       if (!first) body += ",";
       first = false;
@@ -785,7 +752,7 @@ void SkipProxy::serve_internal(const http::HttpRequest& request, const RequestPt
     // The flight-recorder snapshot plus collector and SLO state — the first
     // stop when a scenario goes sideways.
     slo_.evaluate(scope_.now());
-    std::string body = "{\"events\":" + metrics_->events().snapshot_json();
+    std::string body = "{\"events\":" + metrics_.events().snapshot_json();
     body += ",\"collector\":" + collector_->stats_json();
     body += ",\"slo\":" + slo_.snapshot_json() + "}";
     result.response = http::make_response(200, from_string(body), "application/json");
@@ -812,7 +779,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
   if (scheme_end != std::string::npos) {
     const std::string scheme = url_text.substr(0, scheme_end);
     if (scheme != "http") {
-      metrics_->counter("proxy.bad_requests").inc();
+      stats_.bad_requests.inc();
       ProxyResult result;
       result.response =
           synthetic_error(400, "unsupported scheme in proxy request: '" + scheme + "'");
@@ -824,7 +791,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
   }
   const auto url = http::parse_url(url_text);
   if (!url.ok()) {
-    metrics_->counter("proxy.bad_requests").inc();
+    stats_.bad_requests.inc();
     ProxyResult result;
     result.response = synthetic_error(400, "bad proxy request URL: " + url.error());
     finish(req, std::move(result));
@@ -861,7 +828,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
     // optional work — skip selection/handshake entirely and ride the legacy
     // path until pressure clears. Strict requests keep their guarantee.
     if (!options.strict && host.ip.has_value() && overload_.brownout()) {
-      metrics_->counter("overload.brownout_bypass").inc();
+      stats_.brownout_bypasses.inc();
       req->trace->set_attribute("brownout", "bypass");
       fetch_over_ip(url, std::move(request), *host.ip, /*fell_back=*/false, req);
       return;
@@ -877,7 +844,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
     // Routing-layer circuit breaker: while this origin's breaker is open,
     // skip the SCION attempt entirely.
     if (!breaker_.allow(ctx->url.authority())) {
-      metrics_->counter("proxy.breaker_short_circuits").inc();
+      stats_.breaker_short_circuits.inc();
       req->trace->set_attribute("breaker", "open");
       if (req->strict) {
         req->trace->set_outcome("breaker-open");
@@ -885,7 +852,7 @@ void SkipProxy::process(http::HttpRequest request, ProxyRequestOptions options,
         return;
       }
       if (ctx->fallback_ip.has_value()) {
-        metrics_->counter("proxy.fallbacks").inc();
+        stats_.fallbacks.inc();
         req->trace->set_attribute("fallback_reason", "breaker-open");
         req->trace->begin("fallback");
         fetch_over_ip(ctx->url, std::move(ctx->request), *ctx->fallback_ip,
@@ -971,7 +938,7 @@ void SkipProxy::start_scion_attempt(const ScionContextPtr& ctx, const RequestPtr
                       << ": no policy-compliant path, using non-compliant";
       fetch_over_scion(ctx, *choice.any, /*compliant=*/false, choice.any_excluded, req);
     } else if (ctx->fallback_ip.has_value()) {
-      metrics_->counter("proxy.fallbacks").inc();
+      stats_.fallbacks.inc();
       req->trace->begin("fallback");
       fetch_over_ip(ctx->url, ctx->request, *ctx->fallback_ip, /*fell_back=*/true, req);
     } else if (schedule_scion_retry(ctx, req)) {
@@ -1009,7 +976,7 @@ bool SkipProxy::schedule_scion_retry(const ScionContextPtr& ctx, const RequestPt
   if (scope_.now() + backoff + deadline_margin(*ctx, *req) >= req->deadline) {
     return false;  // not enough deadline budget for another attempt
   }
-  metrics_->counter("proxy.retries").inc();
+  stats_.retries.inc();
   req->trace->begin("backoff");
   const std::uint64_t epoch = req->epoch;
   scope_.cancel(req->retry_event);
@@ -1023,7 +990,7 @@ bool SkipProxy::schedule_scion_retry(const ScionContextPtr& ctx, const RequestPt
 
 void SkipProxy::fail_strict_unavailable(const RequestPtr& req, const std::string& host,
                                         const std::string& why) {
-  metrics_->counter("proxy.strict_unavailable").inc();
+  stats_.strict_unavailable.inc();
   req->trace->set_attribute("strict_unavailable", why);
   req->trace->set_outcome("fault");
   ProxyResult result;
@@ -1036,7 +1003,7 @@ void SkipProxy::fail_strict_unavailable(const RequestPtr& req, const std::string
 
 void SkipProxy::handle_scion_failure(const ScionContextPtr& ctx, const RequestPtr& req,
                                      const scion::Path& path, const std::string& error) {
-  metrics_->counter("proxy.scion_failures").inc();
+  stats_.scion_failures.inc();
   // Passive access feedback: transport-level failures push the access that
   // carried the attempt toward degraded (our own load state does not).
   if (multi_access_ != nullptr && !req->access.empty() &&
@@ -1054,7 +1021,7 @@ void SkipProxy::handle_scion_failure(const ScionContextPtr& ctx, const RequestPt
                   << " failed (" << error << ")";
   if (schedule_scion_retry(ctx, req)) return;
   if (!req->strict && ctx->fallback_ip.has_value()) {
-    metrics_->counter("proxy.fallbacks").inc();
+    stats_.fallbacks.inc();
     req->trace->set_attribute("fallback_reason", error);
     req->trace->begin("fallback");
     fetch_over_ip(ctx->url, ctx->request, *ctx->fallback_ip, /*fell_back=*/true, req);
@@ -1126,11 +1093,11 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
     if (conn.state() == transport::Connection::State::kEstablished) {
       // 0-RTT: established synchronously inside start().
       req->trace->end("handshake");
-      metrics_->histogram("transport.handshake").record(conn.handshake_time());
+      stats_.handshake.record(conn.handshake_time());
     } else {
       conn.set_on_established([this, trace = req->trace, &conn] {
         trace->end("handshake");
-        metrics_->histogram("transport.handshake").record(conn.handshake_time());
+        stats_.handshake.record(conn.handshake_time());
       });
     }
     return pooled;
@@ -1153,12 +1120,12 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
     // path is not quarantined (it delivered the response fine) but the
     // origin does feed its circuit breaker.
     if (response.status == 502 || response.status == 503 || response.status == 504) {
-      metrics_->counter("proxy.scion_failures").inc();
-      metrics_->counter("proxy.gateway_errors").inc();
+      stats_.scion_failures.inc();
+      stats_.gateway_errors.inc();
       breaker_.record_failure(url.authority());
       if (schedule_scion_retry(ctx, req)) return;
       if (!req->strict && ctx->fallback_ip.has_value()) {
-        metrics_->counter("proxy.fallbacks").inc();
+        stats_.fallbacks.inc();
         req->trace->set_attribute("fallback_reason",
                                   strings::format("gateway-%d", response.status));
         req->trace->begin("fallback");
@@ -1211,7 +1178,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
                              ? std::string_view{}
                              : std::string_view(req->identity));
     resumption_tickets_.insert(key);
-    metrics_->counter("proxy.bytes_scion").inc(response.body.size());
+    stats_.bytes_scion.inc(response.body.size());
     // An SCMP-driven migration may have moved the connection off the path
     // chosen at selection time; the trace reports the one actually used.
     req->trace->set_attribute("path", final_path->fingerprint());
@@ -1257,7 +1224,7 @@ void SkipProxy::fetch_over_scion(const ScionContextPtr& ctx, const scion::Path& 
   if (limit <= Duration::zero() || req->done) return;
   req->attempt_timer = scope_.schedule_after(limit, [this, ctx, req, path, my_epoch] {
     if (req->done || req->epoch != my_epoch) return;
-    metrics_->counter("proxy.attempt_timeouts").inc();
+    stats_.attempt_timeouts.inc();
     ++req->epoch;  // invalidate the in-flight on_response
     req->trace->end("fetch");
     req->trace->cancel("handshake");
@@ -1296,16 +1263,16 @@ void SkipProxy::fetch_over_ip(const http::Url& url, http::HttpRequest request, n
           if (http::OriginPool::is_shed(result.error())) {
             // Deadline-aware shed: failed fast while retrying elsewhere (or
             // backing off) could still help — a 503, never a hung 504.
-            metrics_->counter("overload.shed_requests").inc();
+            stats_.shed.inc();
             req->trace->set_outcome("shed");
             out.response = http::make_retry_after_response(
                 503, OverloadController::kRetryAfter, "shed under load: " + result.error());
           } else if (http::OriginPool::is_expired(result.error())) {
-            metrics_->counter("proxy.timeouts").inc();
+            stats_.timeouts.inc();
             req->trace->set_outcome("timeout");
             out.response = synthetic_error(504, "deadline expired: " + result.error());
           } else if (http::OriginPool::is_queue_timeout(result.error())) {
-            metrics_->counter("proxy.timeouts").inc();
+            stats_.timeouts.inc();
             req->trace->set_outcome("timeout");
             out.response = synthetic_error(504, "legacy fetch timed out: " + result.error());
           } else if (http::OriginPool::is_fast_fail(result.error())) {
@@ -1320,7 +1287,7 @@ void SkipProxy::fetch_over_ip(const http::Url& url, http::HttpRequest request, n
           return;
         }
         http::HttpResponse response = std::move(result).take();
-        metrics_->counter("proxy.bytes_ip").inc(response.body.size());
+        stats_.bytes_ip.inc(response.body.size());
         response.headers.set("X-Skip-Transport", "ip");
         ProxyResult out;
         out.transport = TransportUsed::kIp;

@@ -177,44 +177,65 @@ struct ProxyResult {
   [[nodiscard]] Duration phase_total(std::string_view phase) const;
 };
 
-/// Snapshot of the proxy's top-level counters, read from the metrics
-/// registry (kept as a struct for ergonomic assertions and display).
-struct ProxyStats {
-  std::uint64_t requests = 0;
-  std::uint64_t over_scion = 0;
-  std::uint64_t over_ip = 0;
-  std::uint64_t blocked = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t internal = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t bytes_scion = 0;
-  std::uint64_t bytes_ip = 0;
+/// The proxy's fixed-name instruments, resolved once at construction into
+/// live handles on its registry: read with `.value()`, and copy the values
+/// out to compare across more simulation. Not copyable, so a copy cannot
+/// pass for a snapshot.
+class ProxyStats {
+  obs::MetricsRegistry& registry_;  // first: every handle below resolves through it
+
+ public:
+  explicit ProxyStats(obs::MetricsRegistry& registry) : registry_(registry) {}
+  ProxyStats(const ProxyStats&) = delete;
+  ProxyStats& operator=(const ProxyStats&) = delete;
+
+  obs::Counter& requests = registry_.counter("proxy.requests");
+  /// Terminal transport of every finished request: finish() bumps exactly
+  /// one of these five, so once the simulator drains they sum to requests.
+  obs::Counter& over_scion = registry_.counter("proxy.over_scion");
+  obs::Counter& over_ip = registry_.counter("proxy.over_ip");
+  obs::Counter& blocked = registry_.counter("proxy.blocked");
+  obs::Counter& errors = registry_.counter("proxy.errors");
+  obs::Counter& internal = registry_.counter("proxy.internal");
+  obs::Counter& bad_requests = registry_.counter("proxy.bad_requests");
+  obs::Counter& fallbacks = registry_.counter("proxy.fallbacks");
+  obs::Counter& timeouts = registry_.counter("proxy.timeouts");
+  obs::Counter& bytes_scion = registry_.counter("proxy.bytes_scion");
+  obs::Counter& bytes_ip = registry_.counter("proxy.bytes_ip");
   /// SCMP reports received and live connections migrated to new paths.
-  std::uint64_t scmp_reports = 0;
-  std::uint64_t scmp_reroutes = 0;
+  obs::Counter& scmp_reports = registry_.counter("proxy.scmp_reports");
+  obs::Counter& scmp_reroutes = registry_.counter("proxy.scmp_reroutes");
   /// Resilience layer: failed SCION attempts, retries scheduled, attempts
   /// abandoned on the per-attempt timer, breaker short-circuits, and strict
   /// requests degraded to 503 + Retry-After.
-  std::uint64_t scion_failures = 0;
+  obs::Counter& scion_failures = registry_.counter("proxy.scion_failures");
   /// 502/503/504 responses received over SCION and treated as retryable
   /// attempt failures (sick upstream, healthy path).
-  std::uint64_t gateway_errors = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t attempt_timeouts = 0;
-  std::uint64_t breaker_short_circuits = 0;
-  std::uint64_t strict_unavailable = 0;
-  /// Overload layer: admissions, 429/503 rejections at ingress, requests
+  obs::Counter& gateway_errors = registry_.counter("proxy.gateway_errors");
+  obs::Counter& retries = registry_.counter("proxy.retries");
+  obs::Counter& attempt_timeouts = registry_.counter("proxy.attempt_timeouts");
+  obs::Counter& breaker_short_circuits = registry_.counter("proxy.breaker_short_circuits");
+  obs::Counter& strict_unavailable = registry_.counter("proxy.strict_unavailable");
+  /// Overload layer: admissions and 429/503 rejections at ingress (bumped by
+  /// the proxy's OverloadController, whose prefix is "overload"), requests
   /// answered from a pool shed (fast 503), and brownout legacy bypasses.
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected_rate = 0;
-  std::uint64_t rejected_capacity = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t brownout_bypasses = 0;
-  /// Multi-access layer: access-down transitions observed and in-flight
-  /// fetches migrated to a surviving access mid-attempt.
-  std::uint64_t access_down_events = 0;
-  std::uint64_t access_failovers = 0;
+  obs::Counter& admitted = registry_.counter("overload.admitted");
+  obs::Counter& rejected_rate = registry_.counter("overload.rejected_rate");
+  obs::Counter& rejected_capacity = registry_.counter("overload.rejected_capacity");
+  obs::Counter& shed = registry_.counter("overload.shed_requests");
+  obs::Counter& brownout_bypasses = registry_.counter("overload.brownout_bypass");
+  /// Multi-access layer: access-down transitions observed, in-flight
+  /// fetches migrated to a surviving access mid-attempt, and requests
+  /// answered 503 because every access was down.
+  obs::Counter& access_down_events = registry_.counter("proxy.access_down_events");
+  obs::Counter& access_failovers = registry_.counter("proxy.access_failovers");
+  obs::Counter& no_access = registry_.counter("proxy.no_access");
+  /// End-to-end request latency (exemplar-tagged) and SCION handshakes.
+  obs::Histogram& request_total = registry_.histogram("proxy.request_total");
+  obs::Histogram& handshake = registry_.histogram("transport.handshake");
+  /// Pooled origins, refreshed on every /skip/metrics scrape.
+  obs::Gauge& scion_pool_size = registry_.gauge("proxy.scion_pool_size");
+  obs::Gauge& legacy_pool_size = registry_.gauge("proxy.legacy_pool_size");
 };
 
 class SkipProxy {
@@ -284,9 +305,9 @@ class SkipProxy {
   [[nodiscard]] obs::TraceCollector& collector() { return *collector_; }
   [[nodiscard]] obs::SloMonitor& slo() { return slo_; }
   [[nodiscard]] obs::TimeSeriesStore& timeseries() { return timeseries_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return *metrics_; }
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const { return *metrics_; }
-  [[nodiscard]] ProxyStats stats() const;
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
+  [[nodiscard]] const ProxyStats& stats() const { return stats_; }
   [[nodiscard]] const ProxyConfig& config() const { return config_; }
   /// Negotiated per-origin server path preferences (from Path-Preference
   /// response headers).
@@ -418,11 +439,12 @@ class SkipProxy {
   dns::Resolver& resolver_;
   ProxyConfig config_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;  // set before detector_/selector_
+  obs::MetricsRegistry& metrics_;  // set before stats_/detector_/selector_
+  ProxyStats stats_{metrics_};
   std::unique_ptr<obs::TraceCollector> owned_collector_;
   obs::TraceCollector* collector_ = nullptr;
   obs::SloMonitor slo_;
-  obs::TimeSeriesStore timeseries_;  // over *metrics_; must follow it
+  obs::TimeSeriesStore timeseries_;  // over metrics_; must follow it
   ScionDetector detector_;
   PathSelector selector_;
   CircuitBreaker breaker_;

@@ -137,7 +137,8 @@ TEST(DetectorTest, NoRecordsAtAll) {
 TEST(PathSelectorTest, SplitsCompliantAndAny) {
   auto world = make_remote_world();
   auto& topo = world->topology();
-  PathSelector selector(topo.daemon_for(world->client));
+  obs::MetricsRegistry metrics;
+  PathSelector selector(topo.daemon_for(world->client), metrics);
   // Geofence away ISD 2's core c2b (the fast detour).
   ppl::Policy no_c2b =
       ppl::parse_policy("policy { acl { deny 2-ff00:0:220; allow *; } }").value();
@@ -162,7 +163,8 @@ TEST(PathSelectorTest, SplitsCompliantAndAny) {
 TEST(PathSelectorTest, GeofenceExcludesEverything) {
   auto world = make_remote_world();
   auto& topo = world->topology();
-  PathSelector selector(topo.daemon_for(world->client));
+  obs::MetricsRegistry metrics;
+  PathSelector selector(topo.daemon_for(world->client), metrics);
   ppl::Geofence fence;
   fence.mode = ppl::GeofenceMode::kBlocklist;
   fence.isds = {2};  // destination ISD blocked: nothing is compliant
@@ -182,7 +184,8 @@ TEST(PathSelectorTest, GeofenceExcludesEverything) {
 TEST(PathSelectorTest, UsageAccounting) {
   auto world = make_remote_world();
   auto& topo = world->topology();
-  PathSelector selector(topo.daemon_for(world->client));
+  obs::MetricsRegistry metrics;
+  PathSelector selector(topo.daemon_for(world->client), metrics);
   const auto paths = topo.daemon_for(world->client).query_now(topo.as_by_name("server-as"));
   ASSERT_FALSE(paths.empty());
   selector.record_use(paths.front(), 1000);
@@ -198,7 +201,8 @@ TEST(PathSelectorTest, UsageAccounting) {
 TEST(PathSelectorTest, RevocationTableConvergesToActive) {
   auto world = make_remote_world();
   auto& topo = world->topology();
-  PathSelector selector(topo.daemon_for(world->client));
+  obs::MetricsRegistry metrics;
+  PathSelector selector(topo.daemon_for(world->client), metrics);
   for (int i = 1; i <= 50; ++i) {
     selector.revoke(topo.as_by_name("core-1"), static_cast<scion::IfaceId>(i), seconds(1));
   }
@@ -217,6 +221,23 @@ TEST(PathSelectorTest, RevocationTableConvergesToActive) {
   EXPECT_FALSE(selector.is_revoked(paths.front()));
   EXPECT_EQ(selector.revocation_entries(), 0u);
   EXPECT_EQ(selector.active_revocations(), 0u);
+}
+
+TEST(PathSelectorTest, RestoredQuarantineGaugeCountsOnlyActiveEntries) {
+  auto world = make_remote_world();
+  auto& topo = world->topology();
+  obs::MetricsRegistry metrics;
+  PathSelector selector(topo.daemon_for(world->client), metrics);
+  const auto paths = topo.daemon_for(world->client).query_now(topo.as_by_name("server-as"));
+  ASSERT_GE(paths.size(), 2u);
+  ASSERT_NE(paths[0].fingerprint(), paths[1].fingerprint());
+  selector.quarantine(paths[0], milliseconds(10));
+  world->sim().run_until(world->sim().now() + milliseconds(20));
+  // A warm-handoff restore lands next to the expired (not yet pruned) entry;
+  // the gauge must count only the live one.
+  selector.restore_quarantine(paths[1].fingerprint(), world->sim().now() + seconds(5));
+  EXPECT_EQ(selector.active_quarantines(), 1u);
+  EXPECT_EQ(metrics.gauge("selector.quarantines_active").value(), 1.0);
 }
 
 // ------------------------------------------------------------ skip proxy --
@@ -261,7 +282,7 @@ TEST(SkipProxyTest, FetchesScionOnlySiteOverScion) {
   EXPECT_TRUE(result.policy_compliant);
   EXPECT_EQ(to_string_view_copy(result.response.body), "scion content");
   EXPECT_EQ(result.response.headers.get("X-Skip-Transport"), "scion");
-  EXPECT_EQ(fx.proxy->stats().over_scion, 1u);
+  EXPECT_EQ(fx.proxy->stats().over_scion.value(), 1u);
 }
 
 TEST(SkipProxyTest, FallsBackToIpForLegacyOnlySite) {
@@ -271,7 +292,7 @@ TEST(SkipProxyTest, FallsBackToIpForLegacyOnlySite) {
   EXPECT_EQ(result.transport, TransportUsed::kIp);
   EXPECT_EQ(to_string_view_copy(result.response.body), "legacy content");
   EXPECT_EQ(result.response.headers.get("X-Skip-Transport"), "ip");
-  EXPECT_EQ(fx.proxy->stats().over_ip, 1u);
+  EXPECT_EQ(fx.proxy->stats().over_ip.value(), 1u);
 }
 
 TEST(SkipProxyTest, StrictModeBlocksLegacyOnlySite) {
@@ -280,7 +301,7 @@ TEST(SkipProxyTest, StrictModeBlocksLegacyOnlySite) {
   const ProxyResult result = fx.fetch("http://tcpip-fs.local/x", /*strict=*/true);
   EXPECT_EQ(result.transport, TransportUsed::kBlocked);
   EXPECT_EQ(result.response.status, 502);
-  EXPECT_EQ(fx.proxy->stats().blocked, 1u);
+  EXPECT_EQ(fx.proxy->stats().blocked.value(), 1u);
 }
 
 TEST(SkipProxyTest, StrictModeBlocksWhenNoCompliantPath) {
@@ -331,7 +352,7 @@ TEST(SkipProxyTest, UnresolvableHostErrors) {
   const ProxyResult result = fx.fetch("http://ghost.invalid/");
   EXPECT_EQ(result.transport, TransportUsed::kError);
   EXPECT_EQ(result.response.status, 502);
-  EXPECT_EQ(fx.proxy->stats().errors, 1u);
+  EXPECT_EQ(fx.proxy->stats().errors.value(), 1u);
 }
 
 TEST(SkipProxyTest, BadUrlRejected) {
@@ -373,8 +394,8 @@ TEST(SkipProxyTest, HttpsAbsoluteFormRejectedWith400) {
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("unsupported scheme"), std::string::npos) << *err;
   EXPECT_NE(err->find("https"), std::string::npos) << *err;
-  EXPECT_EQ(fx.proxy->stats().requests, 1u);
-  EXPECT_EQ(fx.proxy->stats().over_scion, 0u);
+  EXPECT_EQ(fx.proxy->stats().requests.value(), 1u);
+  EXPECT_EQ(fx.proxy->stats().over_scion.value(), 0u);
 }
 
 TEST(SkipProxyTest, ScionPoolStoresParsedHostAndPort) {
@@ -432,14 +453,14 @@ TEST(SkipProxyTest, FallbackAndTimeoutAccountingExact) {
   // Run well past the late SCION response; its arrival must not bump any
   // counter (the request already finished as a timeout).
   fx.world->sim().run_until(fx.world->sim().now() + seconds(10));
-  const ProxyStats stats = fx.proxy->stats();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.over_scion, 1u);
-  EXPECT_EQ(stats.over_ip, 1u);
-  EXPECT_EQ(stats.fallbacks, 1u);
-  EXPECT_EQ(stats.timeouts, 1u);
-  EXPECT_EQ(stats.errors, 1u);
-  EXPECT_EQ(stats.blocked, 0u);
+  const ProxyStats& stats = fx.proxy->stats();
+  EXPECT_EQ(stats.requests.value(), 3u);
+  EXPECT_EQ(stats.over_scion.value(), 1u);
+  EXPECT_EQ(stats.over_ip.value(), 1u);
+  EXPECT_EQ(stats.fallbacks.value(), 1u);
+  EXPECT_EQ(stats.timeouts.value(), 1u);
+  EXPECT_EQ(stats.errors.value(), 1u);
+  EXPECT_EQ(stats.blocked.value(), 0u);
 }
 
 TEST(SkipProxyTest, RequestTraceBreaksDownPhases) {
@@ -478,7 +499,7 @@ TEST(SkipProxyTest, MetricsEndpointReturnsRegistryJson) {
   EXPECT_NE(body.find("\"proxy.requests\""), std::string::npos);
   EXPECT_NE(body.find("\"proxy.phase.fetch\""), std::string::npos);
   EXPECT_NE(body.find("\"transport.handshake\""), std::string::npos);
-  EXPECT_EQ(fx.proxy->stats().internal, 1u);
+  EXPECT_EQ(fx.proxy->stats().internal.value(), 1u);
 
   const ProxyResult unknown = fx.fetch("/skip/nope");
   EXPECT_EQ(unknown.response.status, 404);
@@ -588,7 +609,7 @@ TEST(SkipProxyTest, ConnectionReuseAcrossRequests) {
   fx.world->site("scion-fs.local")->add_text("/b", "2");
   fx.fetch("http://scion-fs.local/a");
   fx.fetch("http://scion-fs.local/b");
-  EXPECT_EQ(fx.proxy->stats().over_scion, 2u);
+  EXPECT_EQ(fx.proxy->stats().over_scion.value(), 2u);
   // One QUIC connection on the server side: the scion server host's stack
   // saw exactly one connection worth of handshakes (hard to observe
   // directly; at least verify both requests succeeded over SCION).

@@ -13,6 +13,7 @@
 #include "scion/header.hpp"
 #include "scion/scmp.hpp"
 #include "scion/topology.hpp"
+#include "support/proxy_accounting.hpp"
 #include "transport/frames.hpp"
 
 namespace pan {
@@ -575,9 +576,10 @@ TEST(OverloadShedding, SurgeWithSheddingProtectsDocumentsAndNeverHangs) {
   EXPECT_EQ(on.docs.missing_retry_after, 0);
   EXPECT_EQ(on.subs.ok + on.subs.rejected + on.subs.timed_out + on.subs.other, 48);
 
-  const proxy::ProxyStats stats = on.skip->stats();
-  EXPECT_GT(stats.admitted, 0u);
-  EXPECT_GT(stats.rejected_capacity, 0u);
+  const proxy::ProxyStats& stats = on.skip->stats();
+  EXPECT_GT(stats.admitted.value(), 0u);
+  EXPECT_GT(stats.rejected_capacity.value(), 0u);
+  EXPECT_TRUE(testsupport::accounting_balances(stats));
 
   // Ablation: the same surge with the overload layer disabled collapses —
   // FIFO queues starve the documents to 504 and total goodput drops.
@@ -608,9 +610,10 @@ TEST(OverloadAdmission, PerClientTokenBucketRateLimitsWithRetryAfter) {
   h.world->sim().run_until(h.world->sim().now() + seconds(2));
   EXPECT_EQ(h.docs.ok, 2);
 
-  const proxy::ProxyStats stats = h.skip->stats();
-  EXPECT_EQ(stats.rejected_rate, 3u);
-  EXPECT_EQ(stats.rejected_capacity, 0u);
+  const proxy::ProxyStats& stats = h.skip->stats();
+  EXPECT_EQ(stats.rejected_rate.value(), 3u);
+  EXPECT_EQ(stats.rejected_capacity.value(), 0u);
+  EXPECT_TRUE(testsupport::accounting_balances(stats));
 }
 
 TEST(OverloadBrownout, SustainedPressureDisablesScionUpgradeUntilRecovery) {
@@ -661,6 +664,7 @@ TEST(OverloadBrownout, SustainedPressureDisablesScionUpgradeUntilRecovery) {
   EXPECT_EQ(h.skip->metrics().counter("overload.brownout_exited").value(), 1u);
   EXPECT_EQ(h.fetch("http://www.far.example/x").transport,
             proxy::TransportUsed::kScion);
+  EXPECT_TRUE(testsupport::accounting_balances(h.skip->stats()));
 }
 
 TEST(SurgeVerb, FaultPlanDrivesLoadGeneratorThroughProxy) {
